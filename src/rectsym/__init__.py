@@ -30,7 +30,15 @@ from .partitions import (
     translated_partition,
 )
 from .polyring import LaurentPoly, TPoly
-from .powersum import CharCache, char_row, internal_product, plethysm_p, schur_to_p, zee
+from .powersum import (
+    CharCache,
+    char_row,
+    class_sizes,
+    internal_product,
+    plethysm_p,
+    schur_to_p,
+    zee,
+)
 from .schur import (
     schur_coefficient_of,
     schur_coefficients,

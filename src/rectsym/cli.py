@@ -360,7 +360,9 @@ def build_parser():
     )
     p.add_argument("--max-k", "--k", dest="max_k", type=int, default=2)
     p.add_argument("--max-image-weight", type=int, default=24)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument(
+        "--jobs", type=int, default=1, help="worker processes (>= 1, capped at CPU count)"
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 

@@ -5,7 +5,7 @@ can be played against each other:
 
   lr         product of Schur polynomials, coefficient read off exactly
   lr oracle  lattice-word skew tableau count
-  kron       internal product on the power sum basis
+  kron       exact integer character sum over the classes of S_n
   kron oracle  two-alphabet expansion of s_nu(x_i y_j)
   pleth      plethysm on the power sum basis
   pleth oracle  Jacobi-Trudi determinant over h or e evaluated on the
@@ -16,6 +16,8 @@ Kostka-Foulkes lives in hall_littlewood.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
+from operator import mul
 
 from .partitions import (
     conjugate,
@@ -26,8 +28,9 @@ from .partitions import (
 )
 from .polyring import LaurentPoly
 from .powersum import (
+    NonIntegralResult,
     char_row,
-    internal_product,
+    class_sizes,
     plethysm_p,
     schur_coefficient_of_p,
     schur_to_p,
@@ -124,14 +127,24 @@ def lr_coefficient_oracle(lam, mu, nu):
 
 
 def kronecker_coefficient(lam, mu, nu, cache=None):
-    """Kronecker coefficient via the internal product on the p basis."""
-    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
-    if not (sum(lam) == sum(mu) == sum(nu)):
+    """Kronecker coefficient g(lam, mu, nu) = <chi^lam chi^mu chi^nu, 1>.
+
+    Computed as the integer sum over cycle types rho of
+    (n!/z_rho) chi^lam(rho) chi^mu(rho) chi^nu(rho), divided exactly by n!;
+    a remainder raises NonIntegralResult.  Each index must be a partition
+    (trailing zeros allowed), else ValueError.
+    """
+    lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
+    n = sum(lam)
+    if not (n == sum(mu) == sum(nu)):
         return 0
-    if not lam:
-        return 1
-    prod = internal_product(schur_to_p(mu, cache), schur_to_p(nu, cache))
-    return schur_coefficient_of_p(prod, lam, cache)
+    rows = {p: char_row(p, cache) for p in {lam, mu, nu}}
+    weighted = map(mul, class_sizes(n), rows[lam])
+    total = sum(map(mul, weighted, map(mul, rows[mu], rows[nu])))
+    g, rem = divmod(total, factorial(n))
+    if rem:
+        raise NonIntegralResult(f"g{(lam, mu, nu)} = {total}/{n}! is not an integer")
+    return g
 
 
 def _bialphabet_power(k, l, m):

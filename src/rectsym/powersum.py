@@ -36,6 +36,13 @@ def zee(rho):
     return out
 
 
+@lru_cache(maxsize=None)
+def class_sizes(n):
+    """Conjugacy class sizes n!/z_rho of S_n, aligned with partitions_of(n)."""
+    total = factorial(n)
+    return tuple(total // zee(rho) for rho in partitions_of(n))
+
+
 @dataclass
 class PExpansion:
     """A symmetric function of one weight written in the p basis.

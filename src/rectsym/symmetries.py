@@ -25,6 +25,7 @@ Rule names and what they transform:
   kf-translate(n, k)           both translated by (k^n)
 """
 
+import os
 import time
 from dataclasses import dataclass, field
 
@@ -540,10 +541,11 @@ def _check_one(rule, family, indices, params, report, ctx):
         )
 
 
-def _sweep_stride(rule, bounds, start, step):
+def _sweep_stride(rule, bounds, start, step, ctx=None):
     """Check every step-th in-bounds instance beginning at start.  Used both
     for the serial sweep (0, 1) and as the worker of the parallel one."""
-    ctx = SweepContext()
+    if ctx is None:
+        ctx = SweepContext()
     family = FAMILY_OF[rule]
     capped = family == "pleth"
     report = RuleReport(rule)
@@ -564,24 +566,19 @@ def verify_rule(rule, bounds=None, ctx=None, jobs=1):
     Vanishes verdicts for the original being zero.  Returns a RuleReport;
     report.counterexamples is expected to stay empty.
 
-    With jobs > 1 the instances are strided over a process pool; workers are
-    pure and the counters merge deterministically (counterexample order then
-    follows worker index rather than enumeration order).
+    With jobs > 1 the instances are strided over a process pool of at most
+    os.cpu_count() workers; workers are pure and the counters merge
+    deterministically (counterexample order then follows worker index rather
+    than enumeration order).  jobs < 1 raises ValueError.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     if bounds is None:
         bounds = SweepBounds()
     started = time.perf_counter()
-    if jobs <= 1:
-        if ctx is None:
-            ctx = SweepContext()
-        family = FAMILY_OF[rule]
-        capped = family == "pleth"
-        report = RuleReport(rule)
-        for indices, params, image_weight in _instances(rule, bounds):
-            if capped and image_weight > bounds.max_image_weight:
-                report.skipped += 1
-                continue
-            _check_one(rule, family, indices, params, report, ctx)
+    if jobs == 1:
+        report = _sweep_stride(rule, bounds, 0, 1, ctx)
     else:
         from concurrent.futures import ProcessPoolExecutor
 

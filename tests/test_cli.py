@@ -1,6 +1,8 @@
 """Command-line interface: output formats and exit codes."""
 
+import concurrent.futures
 import json
+import os
 
 import pytest
 
@@ -122,6 +124,27 @@ def test_verify_unknown_rule(capsys):
     code, _, err = run(capsys, "verify", "no-such-rule")
     assert code == EXIT_USAGE
     assert "error:" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run(capsys, "verify", "kf-box", "--max-weight", "2", "--jobs", jobs)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "jobs" in err
+
+
+def test_verify_jobs_clamped_to_cpu_count(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was created")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    code, out, _ = run(
+        capsys, "verify", "kf-box", "--max-weight", "3", "--boxes", "2,2,2", "--jobs", "4"
+    )
+    assert code == EXIT_OK
+    assert "0 counterexamples" in out
 
 
 def test_verify_json_deterministic(capsys):

@@ -2,6 +2,8 @@
 
 import itertools
 
+import pytest
+
 from rectsym.coefficients import (
     ArityTooSmall,
     kronecker_coefficient,
@@ -15,7 +17,14 @@ from rectsym.coefficients import (
     plethysm_schur_map,
 )
 from rectsym.partitions import conjugate, contains, partitions_of
-from rectsym.powersum import CharCache
+from rectsym.powersum import (
+    CharCache,
+    NonIntegralResult,
+    char_row,
+    internal_product,
+    schur_coefficient_of_p,
+    schur_to_p,
+)
 
 
 def test_lr_pieri_row():
@@ -114,6 +123,39 @@ def test_kronecker_symmetries():
 def test_kronecker_weight_mismatch():
     assert kronecker_coefficient((2,), (1,), (2,)) == 0
     assert kronecker_coefficient((), (), ()) == 1
+
+
+def test_kronecker_matches_p_basis_internal_product():
+    # the character sum against s_mu * s_nu on the p basis, read off at s_lam
+    cache = CharCache()
+    for w in range(7):
+        for lam in partitions_of(w):
+            for mu in partitions_of(w):
+                for nu in partitions_of(w):
+                    prod = internal_product(schur_to_p(mu, cache), schur_to_p(nu, cache))
+                    expect = schur_coefficient_of_p(prod, lam, cache)
+                    assert kronecker_coefficient(lam, mu, nu, cache) == expect, (
+                        lam,
+                        mu,
+                        nu,
+                    )
+
+
+def test_kronecker_non_integral_sum_raises():
+    cache = CharCache()
+    row = char_row((2, 1), cache)
+    cache.rows[(2, 1)] = (row[0] + 1,) + row[1:]
+    with pytest.raises(NonIntegralResult):
+        kronecker_coefficient((2, 1), (2, 1), (2, 1), cache)
+
+
+def test_kronecker_rejects_malformed_indices():
+    with pytest.raises(ValueError):
+        kronecker_coefficient((2, 1), (2, 1), (1, 2))
+    with pytest.raises(ValueError):
+        kronecker_coefficient((2, -1, 1), (2,), (2,))
+    # trailing zeros are canonicalised away, not rejected
+    assert kronecker_coefficient((2, 1, 0), (2, 1), (3, 0)) == 1
 
 
 def test_kronecker_against_bialphabet_oracle():

@@ -10,6 +10,7 @@ from rectsym.powersum import (
     WeightMismatch,
     char_row,
     char_value,
+    class_sizes,
     internal_product,
     p_expansion_to_poly,
     p_to_schur,
@@ -45,6 +46,17 @@ def test_zee_sums_to_factorial():
     # sum over cycle types of n!/z_rho = n!
     for n in range(1, 7):
         assert sum(factorial(n) // zee(rho) for rho in partitions_of(n)) == factorial(n)
+
+
+def test_class_sizes_sum_to_factorial():
+    for n in range(11):
+        assert sum(class_sizes(n)) == factorial(n)
+
+
+def test_class_sizes_aligned_with_partitions_of():
+    # S_3: one identity, three transpositions, two 3-cycles
+    assert partitions_of(3) == ((3,), (2, 1), (1, 1, 1))
+    assert class_sizes(3) == (2, 3, 1)
 
 
 def test_char_table_s3():
