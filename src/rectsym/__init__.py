@@ -15,7 +15,7 @@ from .hall_littlewood import (
     charge,
     hl_poly,
     kostka_foulkes,
-    kostka_foulkes_charge,
+    kostka_foulkes_oracle,
 )
 from .partitions import (
     complement_partition,

@@ -27,7 +27,7 @@ from .coefficients import (
     plethysm_coefficient,
     plethysm_oracle,
 )
-from .hall_littlewood import kostka_foulkes, kostka_foulkes_charge
+from .hall_littlewood import kostka_foulkes, kostka_foulkes_oracle
 from .partitions import LengthExceedsBox, format_partition, parse_partition
 from .powersum import WeightMismatch
 from .symmetries import (
@@ -93,7 +93,7 @@ def _compute_value(family, lam, mu, nu, method, box):
         return kronecker_oracle(lam, mu, nu, l, m)
     if family == "plethysm":
         return plethysm_oracle(lam, mu, nu)
-    return kostka_foulkes_charge(lam, mu)
+    return kostka_foulkes_oracle(lam, mu)
 
 
 def cmd_compute(args):

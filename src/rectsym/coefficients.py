@@ -3,15 +3,16 @@
 Each family has a main path and a structurally different oracle so the two
 can be played against each other:
 
-  lr         product of Schur polynomials, coefficient read off exactly
-  lr oracle  lattice-word skew tableau count
+  lr         lattice-word skew tableau count
+  lr oracle  product of Schur polynomials, coefficient read off exactly
   kron       exact integer character sum over the classes of S_n
   kron oracle  two-alphabet expansion of s_nu(x_i y_j)
   pleth      plethysm on the power sum basis
   pleth oracle  Jacobi-Trudi determinant over h or e evaluated on the
                monomials of the inner Schur polynomial, then expansion
 
-Kostka-Foulkes lives in hall_littlewood.
+Kostka-Foulkes lives in hall_littlewood: charge, with Hall-Littlewood
+elimination as its oracle.
 """
 
 from fractions import Fraction
@@ -53,35 +54,15 @@ class ArityTooSmall(ValueError):
 # Littlewood-Richardson
 
 
-@lru_cache(maxsize=None)
-def _schur_product(lam, mu, n):
-    return schur_poly_of_partition(lam, n) * schur_poly_of_partition(mu, n)
-
-
 def lr_coefficient(lam, mu, nu):
-    """Multiplicity of s_nu in s_lam * s_mu, at arity length(nu)."""
-    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
+    """Multiplicity of s_nu in s_lam * s_mu: the number of fillings of
+    nu/lam with content mu whose reverse reading word is a lattice word.
+    Each index must be a partition (trailing zeros allowed), else
+    ValueError."""
+    lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
     if sum(lam) + sum(mu) != sum(nu):
         return 0
-    if not nu:
-        return 1
-    n = len(nu)
-    if len(lam) > n or len(mu) > n:
-        return 0
-    return schur_coefficient_of(_schur_product(lam, mu, n), nu, n)
-
-
-def lr_table(lam, mu, n):
-    """All Schur coefficients of s_lam * s_mu at arity n at once."""
-    return schur_coefficients_via_alternant(_schur_product(tuple(lam), tuple(mu), n), n)
-
-
-def lr_coefficient_oracle(lam, mu, nu):
-    """Count lattice-word fillings of nu/lam with content mu."""
-    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
-    if sum(lam) + sum(mu) != sum(nu):
-        return 0
-    if not contains(nu, lam):
+    if not contains(nu, lam) or not contains(nu, mu):
         return 0
     inner = zero_pad(lam, len(nu))
     cells = []
@@ -91,8 +72,6 @@ def lr_coefficient_oracle(lam, mu, nu):
             cells.append((i, j))
     if not cells:
         return 1
-    if not mu:
-        return 0
     rows = len(nu)
     filling = [[0] * nu[i] for i in range(rows)]
     counts = [0] * len(mu)
@@ -120,6 +99,31 @@ def lr_coefficient_oracle(lam, mu, nu):
         return total
 
     return place(0)
+
+
+@lru_cache(maxsize=None)
+def _schur_product(lam, mu, n):
+    return schur_poly_of_partition(lam, n) * schur_poly_of_partition(mu, n)
+
+
+def lr_coefficient_oracle(lam, mu, nu):
+    """Multiplicity of s_nu in s_lam * s_mu, read off the product of Schur
+    polynomials at arity length(nu).  Each index must be a partition
+    (trailing zeros allowed), else ValueError."""
+    lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
+    if sum(lam) + sum(mu) != sum(nu):
+        return 0
+    if not nu:
+        return 1
+    n = len(nu)
+    if len(lam) > n or len(mu) > n:
+        return 0
+    return schur_coefficient_of(_schur_product(lam, mu, n), nu, n)
+
+
+def lr_table(lam, mu, n):
+    """All Schur coefficients of s_lam * s_mu at arity n at once."""
+    return schur_coefficients_via_alternant(_schur_product(tuple(lam), tuple(mu), n), n)
 
 
 # ---------------------------------------------------------------------------
@@ -234,8 +238,9 @@ def kronecker_oracle(lam, mu, nu, l, m, cache=None, table=None):
 
 
 def plethysm_coefficient(lam, mu, nu, cache=None):
-    """Multiplicity of s_nu in s_lam[s_mu], via the p basis."""
-    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
+    """Multiplicity of s_nu in s_lam[s_mu], via the p basis.  Each index
+    must be a partition (trailing zeros allowed), else ValueError."""
+    lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
     if sum(lam) * sum(mu) != sum(nu):
         return 0
     comp = plethysm_p(schur_to_p(lam, cache), schur_to_p(mu, cache))

@@ -1,4 +1,9 @@
-"""Hall-Littlewood polynomials over Z[t] and Kostka-Foulkes polynomials.
+"""Kostka-Foulkes polynomials and Hall-Littlewood polynomials over Z[t].
+
+The engine, kostka_foulkes, is the Lascoux-Schutzenberger charge generating
+function: K_(lam,mu)(t) sums t^charge over the semistandard tableaux of shape
+lam and content mu.  Its oracle, kostka_foulkes_oracle, expands s_lam in the
+Hall-Littlewood basis by elimination on leading monomials.
 
 P_mu(x; t) is the symmetrization of x^mu prod_{i<j} (x_i - t x_j)/(x_i - x_j),
 normalized by v_mu(t) so the leading coefficient is 1.  Rather than summing
@@ -137,9 +142,11 @@ def _schur_in_hl(lam, n):
     return {to_partition(key): c for key, c in entries.items()}
 
 
-def kostka_foulkes(lam, mu):
-    """K_(lam,mu)(t) as a TPoly; zero when the weights differ."""
-    lam, mu = tuple(lam), tuple(mu)
+def kostka_foulkes_oracle(lam, mu):
+    """K_(lam,mu)(t) as a TPoly by expanding s_lam in the Hall-Littlewood
+    basis; zero when the weights differ.  Each index must be a partition
+    (trailing zeros allowed), else ValueError."""
+    lam, mu = to_partition(lam), to_partition(mu)
     if sum(lam) != sum(mu):
         return TPoly()
     if not lam:
@@ -149,7 +156,7 @@ def kostka_foulkes(lam, mu):
 
 
 # ---------------------------------------------------------------------------
-# charge oracle
+# charge
 
 
 def charge_standard(positions):
@@ -204,22 +211,27 @@ def reading_word(tab):
     return out
 
 
-def kostka_foulkes_charge(lam, mu):
-    """K_(lam,mu)(t) as the charge generating function over SSYT."""
-    lam, mu = tuple(lam), tuple(mu)
+def kostka_foulkes(lam, mu):
+    """K_(lam,mu)(t) as a TPoly: the charge generating function over the
+    semistandard tableaux of shape lam and content mu; zero when the weights
+    differ.  Each index must be a partition (trailing zeros allowed), else
+    ValueError."""
+    lam, mu = to_partition(lam), to_partition(mu)
     if sum(lam) != sum(mu):
         return TPoly()
     coeffs = {}
-    n = max(len(mu), 1) if mu else 1
+    n = max(len(mu), 1)
     for tab in iter_ssyt(lam, n, content=zero_pad(mu, n)):
         c = charge(reading_word(tab))
         coeffs[c] = coeffs.get(c, 0) + 1
-    if not coeffs and not lam:
-        return TPoly.const(1)
     out = [0] * (max(coeffs, default=-1) + 1)
     for c, m in coeffs.items():
         out[c] = m
     return TPoly(out)
+
+
+# The old name of the charge route; perfbench/pin.py still imports it.
+kostka_foulkes_charge = kostka_foulkes
 
 
 # ---------------------------------------------------------------------------

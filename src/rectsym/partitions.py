@@ -8,6 +8,7 @@ complement produces before any trailing zeros are stripped.
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import ge
 
 
 class LengthExceedsBox(ValueError):
@@ -19,7 +20,7 @@ class LengthExceedsBox(ValueError):
 
 
 def is_weakly_decreasing(seq):
-    return all(seq[i] >= seq[i + 1] for i in range(len(seq) - 1))
+    return all(map(ge, seq, seq[1:]))
 
 
 def to_partition(seq):

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rectsym.coefficients import (
     ArityTooSmall,
@@ -63,6 +64,12 @@ def test_lr_degenerate_cases():
     assert lr_coefficient((2, 1), (1,), (3,)) == 0  # length over arity
     assert lr_coefficient((2,), (1,), (2,)) == 0  # weight mismatch
     assert lr_coefficient((3,), (1,), (2, 2)) == 0  # lam not inside nu
+    assert lr_coefficient((2, 1, 0), (1,), (3, 1)) == 1  # trailing zero
+
+
+def test_lr_rejects_malformed_partition():
+    with pytest.raises(ValueError):
+        lr_coefficient((1,), (1,), (1, 2))
 
 
 def test_lr_symmetry_and_containment():
@@ -77,7 +84,7 @@ def test_lr_symmetry_and_containment():
                             assert contains(nu, lam) and contains(nu, mu)
 
 
-def test_lr_against_lattice_word_oracle():
+def test_lr_lattice_words_against_schur_product():
     for w in range(7):
         for a in range(w + 1):
             for lam in partitions_of(a):
@@ -86,6 +93,22 @@ def test_lr_against_lattice_word_oracle():
                         assert lr_coefficient(lam, mu, nu) == lr_coefficient_oracle(
                             lam, mu, nu
                         ), (lam, mu, nu)
+
+
+def _inside(nu, w):
+    return [p for p in partitions_of(w) if contains(nu, p)]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_lr_lattice_words_match_schur_product_past_criterion_2(data):
+    # |nu| <= 14 with at most three rows; lam and mu drawn inside nu
+    w = data.draw(st.integers(0, 14))
+    nu = data.draw(st.sampled_from([p for p in partitions_of(w) if len(p) <= 3]))
+    a = data.draw(st.integers(0, w))
+    lam = data.draw(st.sampled_from(_inside(nu, a)))
+    mu = data.draw(st.sampled_from(_inside(nu, w - a)))
+    assert lr_coefficient(lam, mu, nu) == lr_coefficient_oracle(lam, mu, nu)
 
 
 def test_kronecker_trivial_row():
@@ -204,6 +227,11 @@ def test_plethysm_degenerate_cases():
     assert plethysm_coefficient((), (2,), ()) == 1
     assert plethysm_coefficient((2,), (2,), (5,)) == 0  # weight mismatch
     assert plethysm_coefficient((1,), (2, 1), (2, 1)) == 1
+
+
+def test_plethysm_rejects_malformed_partition():
+    with pytest.raises(ValueError):
+        plethysm_coefficient((2,), (1,), (1, 2))
 
 
 def test_plethysm_schur_map():

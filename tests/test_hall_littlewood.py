@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from rectsym.hall_littlewood import (
     charge,
     charge_standard,
@@ -10,7 +13,7 @@ from rectsym.hall_littlewood import (
     expand_in_hl,
     hl_poly,
     kostka_foulkes,
-    kostka_foulkes_charge,
+    kostka_foulkes_oracle,
     monomial_symmetric_poly,
     reading_word,
     specialize_t,
@@ -158,7 +161,7 @@ def test_charge_vs_elimination():
     for w in range(5):
         for lam in partitions_of(w):
             for mu in partitions_of(w):
-                assert kostka_foulkes(lam, mu) == kostka_foulkes_charge(lam, mu)
+                assert kostka_foulkes(lam, mu) == kostka_foulkes_oracle(lam, mu)
 
 
 def test_kostka_foulkes_at_one_counts_tableaux():
@@ -170,12 +173,41 @@ def test_kostka_foulkes_at_one_counts_tableaux():
     ]:
         n = len(mu)
         count = sum(1 for _ in iter_ssyt(lam, n, content=zero_pad(mu, n)))
-        assert kostka_foulkes(lam, mu).subs(1) == count
+        assert kostka_foulkes_oracle(lam, mu).subs(1) == count
 
 
 def test_kostka_foulkes_six_boxes():
     # K_(2,2,1,1),(1^6) at t=1 equals the number of standard tableaux
-    poly = kostka_foulkes((2, 2, 1, 1), (1,) * 6)
-    assert poly == kostka_foulkes_charge((2, 2, 1, 1), (1,) * 6)
+    poly = kostka_foulkes_oracle((2, 2, 1, 1), (1,) * 6)
+    assert poly == kostka_foulkes((2, 2, 1, 1), (1,) * 6)
     assert poly.subs(1) == 9
     assert count_ssyt((2, 2, 1, 1), 6) >= 9
+
+
+def test_kostka_foulkes_strips_trailing_zeros():
+    assert kostka_foulkes((3,), (2, 1, 0)) == TPoly.t()
+    assert kostka_foulkes_oracle((3,), (2, 1, 0)) == TPoly.t()
+
+
+def test_kostka_foulkes_rejects_unsorted_partition():
+    with pytest.raises(ValueError):
+        kostka_foulkes((2, 1), (1, 2))
+
+
+def test_kostka_foulkes_rejects_negative_part():
+    with pytest.raises(ValueError):
+        kostka_foulkes((2, -1, 1), (2,))
+
+
+def _partitions_of_length(w, rows):
+    return [p for p in partitions_of(w) if len(p) <= rows]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_kostka_foulkes_charge_matches_elimination(data):
+    # past criterion 2's weight <= 6, at arity <= 4
+    w = data.draw(st.integers(0, 9))
+    lam = data.draw(st.sampled_from(_partitions_of_length(w, 4)))
+    mu = data.draw(st.sampled_from(_partitions_of_length(w, 4)))
+    assert kostka_foulkes(lam, mu) == kostka_foulkes_oracle(lam, mu)
