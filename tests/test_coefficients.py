@@ -65,6 +65,7 @@ def test_lr_degenerate_cases():
     assert lr_coefficient((2,), (1,), (2,)) == 0  # weight mismatch
     assert lr_coefficient((3,), (1,), (2, 2)) == 0  # lam not inside nu
     assert lr_coefficient((2, 1, 0), (1,), (3, 1)) == 1  # trailing zero
+    assert lr_coefficient_oracle((1, 0, 0), (1,), (2,)) == 1
 
 
 def test_lr_rejects_malformed_partition():
