@@ -29,6 +29,7 @@ from .partitions import (
 )
 from .polyring import LaurentPoly
 from .powersum import (
+    CharCache,
     NonIntegralResult,
     char_row,
     class_sizes,
@@ -142,6 +143,8 @@ def kronecker_coefficient(lam, mu, nu, cache=None):
     n = sum(lam)
     if not (n == sum(mu) == sum(nu)):
         return 0
+    if cache is None:
+        cache = CharCache()
     rows = {p: char_row(p, cache) for p in {lam, mu, nu}}
     weighted = map(mul, class_sizes(n), rows[lam])
     total = sum(map(mul, weighted, map(mul, rows[mu], rows[nu])))
@@ -220,8 +223,10 @@ def kronecker_oracle_table(nu, l, m, cache=None):
 
 
 def kronecker_oracle(lam, mu, nu, l, m, cache=None, table=None):
-    """Kronecker coefficient read from the two-alphabet expansion of s_nu."""
-    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
+    """Kronecker coefficient read from the two-alphabet expansion of s_nu.
+    Each index must be a partition (trailing zeros allowed), else
+    ValueError."""
+    lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
     if not (sum(lam) == sum(mu) == sum(nu)):
         return 0
     if len(lam) > l:
@@ -351,8 +356,10 @@ def _pleth_oracle_poly(lam, mu, n):
 
 def plethysm_oracle(lam, mu, nu):
     """Multiplicity of s_nu in s_lam[s_mu] by polynomial evaluation at
-    arity length(nu); shares no character machinery with the main path."""
-    lam, mu, nu = tuple(lam), tuple(mu), tuple(nu)
+    arity length(nu); shares no character machinery with the main path.
+    Each index must be a partition (trailing zeros allowed), else
+    ValueError."""
+    lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
     if sum(lam) * sum(mu) != sum(nu):
         return 0
     n = len(nu)

@@ -207,6 +207,16 @@ def test_kronecker_oracle_arity_guard():
         assert False, "expected ArityTooSmall"
 
 
+def test_kronecker_oracle_strips_trailing_zeros():
+    # the oracle table is keyed by stripped partitions; g((2),(2),(2)) = 1
+    assert kronecker_oracle((2, 0), (2,), (2,), 2, 2) == 1
+
+
+def test_kronecker_oracle_rejects_malformed_indices():
+    with pytest.raises(ValueError):
+        kronecker_oracle((2, 1), (2, 1), (1, 2), 2, 2)
+
+
 def test_plethysm_symmetric_square_of_vector_forms():
     # Sym^2(Sym^2 V) = S_(4) + S_(2,2)
     assert plethysm_coefficient((2,), (2,), (4,)) == 1
@@ -233,6 +243,11 @@ def test_plethysm_degenerate_cases():
 def test_plethysm_rejects_malformed_partition():
     with pytest.raises(ValueError):
         plethysm_coefficient((2,), (1,), (1, 2))
+
+
+def test_plethysm_oracle_rejects_malformed_partition():
+    with pytest.raises(ValueError):
+        plethysm_oracle((2,), (1,), (1, 2))
 
 
 def test_plethysm_schur_map():

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from rectsym.partitions import hooks, partitions_of
+from rectsym.partitions import conjugate, hooks, partitions_of
 from rectsym.powersum import (
     CharCache,
     PExpansion,
@@ -21,7 +21,7 @@ from rectsym.powersum import (
     to_int_poly,
     zee,
 )
-from rectsym.schur import schur_poly_of_partition
+from rectsym.schur import schur_coefficients, schur_poly_of_partition
 
 
 def dim(lam):
@@ -82,26 +82,73 @@ def test_char_dimension_column():
         ones = (1,) * w
         for lam in partitions_of(w):
             assert char_value(lam, ones) == dim(lam)
+    # rectangles of the benchmark ladder, up to weight 32
+    for lam in [(3,) * 6, (4,) * 7, (10,) * 3, (5,) * 6, (4,) * 8]:
+        assert char_value(lam, (1,) * sum(lam)) == dim(lam), lam
 
 
 def test_char_orthogonality():
+    # sum over classes of |class| chi^a chi^b = n! when a == b, else 0
     cache = CharCache()
-    for w in range(1, 6):
-        rhos = partitions_of(w)
-        zs = [zee(r) for r in rhos]
-        rows = {lam: char_row(lam, cache) for lam in partitions_of(w)}
-        for a in partitions_of(w):
-            for b in partitions_of(w):
-                dot = sum(
-                    Fraction(x * y, z) for x, y, z in zip(rows[a], rows[b], zs)
-                )
-                assert dot == (1 if a == b else 0), (a, b)
+    for n in range(11):
+        sizes = class_sizes(n)
+        rows = [char_row(lam, cache) for lam in partitions_of(n)]
+        for i, a in enumerate(rows):
+            for j, b in enumerate(rows):
+                dot = sum(c * x * y for c, x, y in zip(sizes, a, b))
+                assert dot == (factorial(n) if i == j else 0), (n, i, j)
 
 
 def test_char_row_cache_agrees_with_fresh():
     cache = CharCache()
     for lam in partitions_of(5):
         assert char_row(lam, cache) == char_row(lam)
+
+
+def test_char_rejects_malformed_partition():
+    with pytest.raises(ValueError):
+        char_row((1, 2))
+    with pytest.raises(ValueError):
+        char_row((1, 2), CharCache())
+    with pytest.raises(ValueError):
+        char_value((1, 2), (3,))
+    with pytest.raises(ValueError):
+        char_value((2, -1, 2), (3,))
+
+
+def test_char_value_rejects_non_positive_cycle_part():
+    with pytest.raises(ValueError):
+        char_value((2, 1), (2, 1, 0))
+    with pytest.raises(ValueError):
+        char_value((3,), (4, -1))
+
+
+def test_char_strips_trailing_zeros():
+    cache = CharCache()
+    assert char_row((2, 1, 0), cache) == char_row((2, 1)) == (-1, 0, 2)
+    assert char_value((2, 1, 0, 0), (3,)) == -1
+
+
+def test_char_values_are_power_sum_schur_coefficients():
+    # p_rho = sum over lam of chi^lam(rho) s_lam, read off the polynomial
+    # product of power sums in n variables by Schur elimination
+    for n in range(1, 8):
+        for rho in partitions_of(n):
+            poly = power_sum_poly(rho[0], n)
+            for part in rho[1:]:
+                poly = poly * power_sum_poly(part, n)
+            coeffs = schur_coefficients(poly, n)
+            for lam in partitions_of(n):
+                assert char_value(lam, rho) == coeffs.get(lam, 0), (lam, rho)
+
+
+def test_char_conjugation_twists_by_sign():
+    cache = CharCache()
+    for n in range(13):
+        signs = [(-1) ** (n - len(rho)) for rho in partitions_of(n)]
+        for lam in partitions_of(n):
+            twisted = tuple(s * x for s, x in zip(signs, char_row(lam, cache)))
+            assert char_row(conjugate(lam), cache) == twisted, lam
 
 
 def test_schur_to_p_round_trip():
