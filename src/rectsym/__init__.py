@@ -9,7 +9,6 @@ from .coefficients import (
     lr_coefficient_oracle,
     plethysm_coefficient,
     plethysm_oracle,
-    plethysm_schur_map,
 )
 from .hall_littlewood import (
     charge,
@@ -34,7 +33,6 @@ from .powersum import (
     CharCache,
     char_row,
     class_sizes,
-    internal_product,
     plethysm_p,
     schur_to_p,
     zee,

@@ -20,17 +20,15 @@ import sys
 
 from .coefficients import (
     ArityTooSmall,
-    kronecker_coefficient,
     kronecker_oracle,
-    lr_coefficient,
     lr_coefficient_oracle,
-    plethysm_coefficient,
     plethysm_oracle,
 )
-from .hall_littlewood import kostka_foulkes, kostka_foulkes_oracle
+from .hall_littlewood import kostka_foulkes_oracle
 from .partitions import LengthExceedsBox, format_partition, parse_partition
 from .powersum import WeightMismatch
 from .symmetries import (
+    FAMILY_KEY,
     RULE_NAMES,
     PreconditionViolated,
     SweepBounds,
@@ -74,13 +72,8 @@ def _parse_box_list(text):
 
 def _compute_value(family, lam, mu, nu, method, box):
     if method == "main":
-        if family == "lr":
-            return lr_coefficient(lam, mu, nu)
-        if family == "kronecker":
-            return kronecker_coefficient(lam, mu, nu)
-        if family == "plethysm":
-            return plethysm_coefficient(lam, mu, nu)
-        return kostka_foulkes(lam, mu)
+        indices = (lam, mu) if nu is None else (lam, mu, nu)
+        return coefficient_of(FAMILY_KEY[family], indices)
     if family == "lr":
         return lr_coefficient_oracle(lam, mu, nu)
     if family == "kronecker":
@@ -231,8 +224,7 @@ def cmd_reduce(args):
     text = _render_report(report)
     if args.execute:
         ctx = SweepContext()
-        family = "kron" if args.family == "kronecker" else "pleth"
-        original_value = coefficient_of(family, report.original, ctx)
+        original_value = coefficient_of(FAMILY_KEY[args.family], report.original, ctx)
         final_value = reduced_value(report, ctx)
         payload["original_value"] = original_value
         payload["reduced_value"] = final_value

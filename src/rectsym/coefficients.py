@@ -7,7 +7,10 @@ can be played against each other:
   lr oracle  product of Schur polynomials, coefficient read off exactly
   kron       exact integer character sum over the classes of S_n
   kron oracle  two-alphabet expansion of s_nu(x_i y_j)
-  pleth      plethysm on the power sum basis
+  pleth      length(nu) <= 3: integer character sum of s_lam[s_mu] in
+             length(nu) variables, s_nu read with the alternant; longer nu:
+             plethysm on the power sum basis (each route is the faster one
+             at its arities, see POLY_MAX_ARITY)
   pleth oracle  Jacobi-Trudi determinant over h or e evaluated on the
                monomials of the inner Schur polynomial, then expansion
 
@@ -15,7 +18,6 @@ Kostka-Foulkes lives in hall_littlewood: charge, with Hall-Littlewood
 elimination as its oracle.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from operator import mul
@@ -36,13 +38,10 @@ from .powersum import (
     plethysm_p,
     schur_coefficient_of_p,
     schur_to_p,
-    to_int_poly,
-    zee,
 )
 from .schur import (
     schur_coefficient_of,
     schur_coefficients,
-    schur_coefficients_via_alternant,
     schur_poly_of_partition,
 )
 
@@ -122,9 +121,44 @@ def lr_coefficient_oracle(lam, mu, nu):
     return schur_coefficient_of(_schur_product(lam, mu, n), nu, n)
 
 
-def lr_table(lam, mu, n):
-    """All Schur coefficients of s_lam * s_mu at arity n at once."""
-    return schur_coefficients_via_alternant(_schur_product(tuple(lam), tuple(mu), n), n)
+# ---------------------------------------------------------------------------
+# Schur functions evaluated at the monomials of a polynomial
+
+
+def _schur_at(lam, g, products, cache=None):
+    """s_lam evaluated at the monomials of g: the integer sum over cycle
+    types rho of (N!/z_rho) chi^lam(rho) prod_i g(x^rho_i), divided exactly
+    by N!; a remainder raises NonIntegralResult.  products caches the
+    products of g, keyed by cycle type, for this g only."""
+    N = sum(lam)
+    acc = {}
+    for rho, size, chi in zip(partitions_of(N), class_sizes(N), char_row(lam, cache)):
+        if not chi:
+            continue
+        w = size * chi
+        for e, c in _power_product(g, rho, products).terms.items():
+            acc[e] = acc.get(e, 0) + w * c
+    whole = factorial(N)
+    out = LaurentPoly(g.arity)
+    for e, c in acc.items():
+        q, rem = divmod(c, whole)
+        if rem:
+            raise NonIntegralResult(f"s_{lam} at x^{e} is {c}/{N}!, not an integer")
+        if q:
+            out.terms[e] = q
+    return out
+
+
+def _power_product(g, rho, products):
+    """prod_i g(x^rho_i), built from the product of rho[1:]."""
+    out = products.get(rho)
+    if out is None:
+        if rho:
+            out = _power_product(g, rho[1:], products) * g.frobenius(rho[0])
+        else:
+            out = LaurentPoly.constant(g.arity, 1)
+        products[rho] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -154,37 +188,16 @@ def kronecker_coefficient(lam, mu, nu, cache=None):
     return g
 
 
-def _bialphabet_power(k, l, m):
-    # p_k of the alphabet {x_i y_j}: (sum x_i^k)(sum y_j^k), arity l + m
-    out = LaurentPoly(l + m)
-    terms = {}
+def _bialphabet_schur(nu, l, m, cache=None):
+    """s_nu evaluated on the product alphabet x_i y_j, arity l + m."""
+    xy = LaurentPoly(l + m)
     for i in range(l):
         for j in range(m):
             e = [0] * (l + m)
-            e[i] = k
-            e[l + j] = k
-            terms[tuple(e)] = 1
-    out.terms = terms
-    return out
-
-
-def _bialphabet_schur(nu, l, m, cache=None):
-    """s_nu evaluated on the product alphabet x_i y_j, arity l + m."""
-    n = sum(nu)
-    row = char_row(nu, cache)
-    out = LaurentPoly.zero(l + m)
-    powers = {}
-    for rho, chi in zip(partitions_of(n), row):
-        if not chi:
-            continue
-        prod = powers.get(rho)
-        if prod is None:
-            prod = LaurentPoly.constant(l + m, 1)
-            for part in rho:
-                prod = prod * _bialphabet_power(part, l, m)
-            powers[rho] = prod
-        out = out + prod.scale(Fraction(chi, zee(rho)))
-    return to_int_poly(out)
+            e[i] = 1
+            e[l + j] = 1
+            xy.terms[tuple(e)] = 1
+    return _schur_at(nu, xy, {}, cache)
 
 
 def kronecker_oracle_table(nu, l, m, cache=None):
@@ -242,14 +255,47 @@ def kronecker_oracle(lam, mu, nu, l, m, cache=None, table=None):
 # plethysm
 
 
-def plethysm_coefficient(lam, mu, nu, cache=None):
-    """Multiplicity of s_nu in s_lam[s_mu], via the p basis.  Each index
-    must be a partition (trailing zeros allowed), else ValueError."""
+# Up to this many rows of nu, plethysm_coefficient evaluates s_lam[s_mu] as a
+# polynomial in length(nu) variables; longer nu go through the p basis.
+# Neither route wins everywhere (cold caches, 2 vCPUs).  The p basis alone
+# slows the sweeps of pleth-box-inner 0.15 s -> 1.04 s and of
+# pleth-translate-inner 0.19 s -> 1.09 s.  The polynomial alone slows the
+# crosscheck's plethysm calls by 39%, from products at arity 5-6, and the
+# ladder rung (4)[(4,4)] at (16,8,4,4) 0.30 s -> 0.40 s.
+POLY_MAX_ARITY = 3
+
+
+def plethysm_coefficient(lam, mu, nu, cache=None, powers=None, maps=None):
+    """Multiplicity of s_nu in s_lam[s_mu].  Each index must be a partition
+    (trailing zeros allowed), else ValueError.
+
+    When nu has at most POLY_MAX_ARITY rows, s_lam[s_mu] is evaluated in
+    length(nu) variables and s_nu read off with the alternant; longer nu go
+    through the p basis.  cache is a CharCache.  powers and maps are dicts
+    that may be shared across calls: powers holds the products
+    prod_i s_mu(x^rho_i) per (mu, n), maps the evaluated plethysms keyed
+    (lam, mu, n).
+    """
     lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
     if sum(lam) * sum(mu) != sum(nu):
         return 0
-    comp = plethysm_p(schur_to_p(lam, cache), schur_to_p(mu, cache))
-    return schur_coefficient_of_p(comp, nu, cache)
+    n = len(nu)
+    if len(mu) > n:
+        # s_mu vanishes in length(nu) variables; only s_()[s_mu] = 1 survives
+        return 0 if lam else 1
+    if cache is None:
+        cache = CharCache()
+    if n > POLY_MAX_ARITY:
+        comp = plethysm_p(schur_to_p(lam, cache), schur_to_p(mu, cache))
+        return schur_coefficient_of_p(comp, nu, cache)
+    key = (lam, mu, n)
+    poly = maps.get(key) if maps is not None else None
+    if poly is None:
+        products = powers.setdefault((mu, n), {}) if powers is not None else {}
+        poly = _schur_at(lam, schur_poly_of_partition(mu, n), products, cache)
+        if maps is not None:
+            maps[key] = poly
+    return schur_coefficient_of(poly, nu, n)
 
 
 def _alphabet_of(poly):
@@ -367,36 +413,3 @@ def plethysm_oracle(lam, mu, nu):
     if poly is None:
         return 1 if not lam and not nu else 0
     return schur_coefficient_of(poly, nu, n)
-
-
-def plethysm_schur_map(lam, mu, n, cache=None, powers=None):
-    """All Schur coefficients of s_lam[s_mu] at arity n, keyed by partition.
-
-    powers, if given, is a dict shared across calls with the same (mu, n)
-    that caches the power products of the inner polynomial.
-    """
-    lam, mu = tuple(lam), tuple(mu)
-    g = schur_poly_of_partition(mu, n)
-    if not g:
-        return {(): 1} if not lam else {}
-    N = sum(lam)
-    row = char_row(lam, cache)
-    out = LaurentPoly.zero(n)
-    for rho, chi in zip(partitions_of(N), row):
-        if not chi:
-            continue
-        out = out + _frob_product(g, mu, n, rho, powers).scale(Fraction(chi, zee(rho)))
-    return schur_coefficients_via_alternant(to_int_poly(out), n)
-
-
-def _frob_product(g, mu, n, rho, powers):
-    key = (mu, n, rho)
-    if powers is not None and key in powers:
-        return powers[key]
-    if not rho:
-        out = LaurentPoly.constant(n, 1)
-    else:
-        out = _frob_product(g, mu, n, rho[1:], powers) * g.frobenius(rho[0])
-    if powers is not None:
-        powers[key] = out
-    return out

@@ -9,8 +9,6 @@ Division is exact division only; a failed division raises InexactDivision
 rather than returning a remainder.
 """
 
-from fractions import Fraction
-
 
 class ArityMismatch(ValueError):
     pass
@@ -343,58 +341,9 @@ class LaurentPoly:
                     return False
         return True
 
-    def permuted(self, perm):
-        """Apply the variable permutation x_i -> x_perm[i]."""
-        out = {}
-        for e, c in self.terms.items():
-            ne = [0] * self.arity
-            for i, x in enumerate(e):
-                ne[perm[i]] = x
-            out[tuple(ne)] = c
-        r = LaurentPoly(self.arity)
-        r.terms = out
-        return r
-
     def map_coefficients(self, fn):
         r = LaurentPoly(self.arity)
         r.terms = {e: w for e, c in self.terms.items() if (w := fn(c))}
-        return r
-
-    def exact_divide(self, den):
-        """Exact division; raises InexactDivision if den does not divide."""
-        if not isinstance(den, LaurentPoly):
-            return self.map_coefficients(lambda c: _coeff_div(c, den))
-        self._check(den)
-        if not den.terms:
-            raise ZeroPolynomial("division by the zero polynomial")
-        if not self.terms:
-            return LaurentPoly(self.arity)
-        # shift both into the nonnegative orthant; Laurent exactness is
-        # equivalent to polynomial exactness of the shifted pair
-        lo_n = self.min_exponents()
-        lo_d = den.min_exponents()
-        num_t = {tuple(x - l for x, l in zip(e, lo_n)): c for e, c in self.terms.items()}
-        den_t = {tuple(x - l for x, l in zip(e, lo_d)): c for e, c in den.terms.items()}
-        lt_d = max(den_t)
-        c_d = den_t[lt_d]
-        q = {}
-        while num_t:
-            lt_n = max(num_t)
-            e = tuple(x - y for x, y in zip(lt_n, lt_d))
-            if any(x < 0 for x in e):
-                raise InexactDivision("quotient would need negative exponents")
-            c = _coeff_div(num_t[lt_n], c_d)
-            q[e] = c
-            for ed, cd in den_t.items():
-                key = tuple(x + y for x, y in zip(e, ed))
-                s = num_t.get(key, 0) - c * cd
-                if s:
-                    num_t[key] = s
-                elif key in num_t:
-                    del num_t[key]
-        delta = tuple(a - b for a, b in zip(lo_n, lo_d))
-        r = LaurentPoly(self.arity)
-        r.terms = {tuple(x + d for x, d in zip(e, delta)): c for e, c in q.items()}
         return r
 
     # -- rendering ----------------------------------------------------------
@@ -419,23 +368,6 @@ class LaurentPoly:
 
     def __repr__(self):
         return f"LaurentPoly({self.arity}, {self.__str__()})"
-
-
-def _coeff_div(c, d):
-    if isinstance(c, TPoly) or isinstance(d, TPoly):
-        if isinstance(c, int):
-            c = TPoly.const(c)
-        return c.exact_div(d)
-    if isinstance(c, Fraction) or isinstance(d, Fraction):
-        if not d:
-            raise ZeroPolynomial("division by zero coefficient")
-        return Fraction(c) / d
-    if not d:
-        raise ZeroPolynomial("division by zero coefficient")
-    q, r = divmod(c, d)
-    if r:
-        raise InexactDivision(f"{c} not divisible by {d}")
-    return q
 
 
 def divide_by_variable_difference(p, i, j):

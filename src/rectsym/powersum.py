@@ -22,7 +22,6 @@ from functools import lru_cache
 from math import factorial
 
 from .partitions import partitions_of, to_partition
-from .polyring import LaurentPoly
 
 
 class WeightMismatch(ValueError):
@@ -188,25 +187,6 @@ def schur_to_p(lam, cache=None):
     return PExpansion(n, terms)
 
 
-def p_to_schur(expansion, cache=None):
-    """Integer Schur coefficients of a p expansion; the result must be an
-    integral combination or NonIntegralResult is raised."""
-    n = expansion.weight
-    out = {}
-    for lam in partitions_of(n):
-        row = char_row(lam, cache)
-        total = Fraction(0)
-        for rho, chi in zip(partitions_of(n), row):
-            c = expansion.terms.get(rho)
-            if c and chi:
-                total += chi * c
-        if total:
-            if total.denominator != 1:
-                raise NonIntegralResult(f"coefficient of s_{lam} is {total}")
-            out[lam] = int(total)
-    return out
-
-
 def schur_coefficient_of_p(expansion, lam, cache=None):
     """Single Schur coefficient of a p expansion, with integrality check."""
     row = char_row(tuple(lam), cache)
@@ -218,20 +198,6 @@ def schur_coefficient_of_p(expansion, lam, cache=None):
     if total.denominator != 1:
         raise NonIntegralResult(f"coefficient of s_{tuple(lam)} is {total}")
     return int(total)
-
-
-def internal_product(a, b):
-    """Kronecker product on the p basis: p_rho * p_sigma = delta z_rho p_rho."""
-    if a.weight != b.weight:
-        raise WeightMismatch(f"weights {a.weight} != {b.weight}")
-    terms = {}
-    for rho, c in a.terms.items():
-        d = b.terms.get(rho)
-        if d:
-            w = zee(rho) * c * d
-            if w:
-                terms[rho] = w
-    return PExpansion(a.weight, terms)
 
 
 def _merge_cycle_types(r1, r2):
@@ -265,43 +231,3 @@ def plethysm_p(outer, inner):
             elif key in result:
                 del result[key]
     return PExpansion(outer.weight * inner.weight, result)
-
-
-# ---------------------------------------------------------------------------
-# evaluation in finitely many variables
-
-
-def power_sum_poly(k, n):
-    """p_k in n variables."""
-    out = LaurentPoly(n)
-    out.terms = {tuple(k if j == i else 0 for j in range(n)): 1 for i in range(n)}
-    return out
-
-
-def p_expansion_to_poly(expansion, n):
-    """Evaluate a p expansion in n variables.  Coefficients stay Fractions."""
-    out = LaurentPoly.zero(n)
-    prods = {}
-    for rho in sorted(expansion.terms, reverse=True):
-        c = expansion.terms[rho]
-        cur = prods.get(rho)
-        if cur is None:
-            cur = LaurentPoly.constant(n, 1)
-            for part in rho:
-                cur = cur * power_sum_poly(part, n)
-            prods[rho] = cur
-        out = out + cur.scale(c)
-    return out
-
-
-def to_int_poly(p):
-    """Clear exact Fractions down to ints; raises if any denominator survives."""
-
-    def conv(c):
-        if isinstance(c, Fraction):
-            if c.denominator != 1:
-                raise NonIntegralResult(f"coefficient {c} is not an integer")
-            return int(c)
-        return c
-
-    return p.map_coefficients(conv)

@@ -67,16 +67,6 @@ def alternant(seq, n=None):
     return r
 
 
-@lru_cache(maxsize=None)
-def vandermonde(n):
-    """prod_{i<j} (x_i - x_j), equal to alternant(delta(n))."""
-    out = LaurentPoly.constant(n, 1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            out = out * (LaurentPoly.variable(n, i) - LaurentPoly.variable(n, j))
-    return out
-
-
 def _divide_by_vandermonde(p, n):
     # one binomial factor at a time; each factor divides exactly
     for i in range(n):
@@ -202,26 +192,6 @@ def schur_coefficient_of(p, nu, n):
         if c:
             total += sign * c
     return total
-
-
-def schur_coefficients_via_alternant(p, n):
-    """Same answer as schur_coefficients, read from p * a_delta in one pass.
-
-    If p = sum c_kappa s_kappa then p * a_delta = sum c_kappa a_(kappa+delta),
-    and kappa + delta is the only strictly decreasing monomial of its orbit.
-    Cheaper than elimination when many coefficients are wanted at once.
-    """
-    if p.arity != n:
-        raise LengthMismatch(f"arity {p.arity} vs {n}")
-    if n == 0:
-        return {(): p.coefficient(())} if p else {}
-    prod = p * vandermonde(n)
-    d = delta(n)
-    out = {}
-    for e, c in prod.terms.items():
-        if all(e[i] > e[i + 1] for i in range(n - 1)) and e[-1] >= 0:
-            out[to_partition(tuple(x - y for x, y in zip(e, d)))] = c
-    return out
 
 
 # ---------------------------------------------------------------------------

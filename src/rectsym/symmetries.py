@@ -29,7 +29,7 @@ import os
 import time
 from dataclasses import dataclass, field
 
-from .coefficients import kronecker_coefficient, lr_coefficient, plethysm_schur_map
+from .coefficients import kronecker_coefficient, lr_coefficient, plethysm_coefficient
 from .hall_littlewood import kostka_foulkes
 from .partitions import (
     complement_partition,
@@ -56,6 +56,10 @@ RULE_NAMES = (
 )
 
 FAMILY_OF = {name: name.split("-", 1)[0] for name in RULE_NAMES}
+
+# The coefficient_of key of each family name the command line and the
+# reduction reports use.
+FAMILY_KEY = {"lr": "lr", "kronecker": "kron", "plethysm": "pleth", "kostka-foulkes": "kf"}
 
 
 class PreconditionViolated(ValueError):
@@ -306,37 +310,13 @@ class SweepBounds:
 
 class SweepContext:
     """Caches scoped to one sweep: character tables, inner-power products,
-    plethysm expansion maps, and Kronecker values."""
+    evaluated plethysm polynomials, and Kronecker values."""
 
     def __init__(self):
         self.chars = CharCache()
         self.powers = {}
         self.maps = {}
         self.kron = {}
-
-
-def _pleth_expansion(lam, mu, n, ctx):
-    key = (lam, mu, n)
-    table = ctx.maps.get(key)
-    if table is None:
-        table = plethysm_schur_map(lam, mu, n, ctx.chars, ctx.powers)
-        ctx.maps[key] = table
-    return table
-
-
-def pleth_value(lam, mu, nu, ctx=None):
-    """Multiplicity of s_nu in s_lam[s_mu], via the shared-cache expansion."""
-    lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
-    if sum(lam) * sum(mu) != sum(nu):
-        return 0
-    if not nu:
-        # s_lam[s_mu] evaluated in zero variables
-        if not lam:
-            return 1
-        return 1 if (not mu and len(lam) <= 1) else 0
-    if ctx is None:
-        ctx = SweepContext()
-    return _pleth_expansion(lam, mu, len(nu), ctx).get(nu, 0)
 
 
 def _kron_value(lam, mu, nu, ctx):
@@ -350,17 +330,17 @@ def _kron_value(lam, mu, nu, ctx):
 
 def coefficient_of(family, indices, ctx=None):
     """Coefficient value for one family; the common entry point used by the
-    sweeps and the reduction checks."""
+    sweeps, the reduction checks and the command line."""
     if family == "lr":
         return lr_coefficient(*indices)
-    if family == "kron":
-        if ctx is None:
-            ctx = SweepContext()
-        return _kron_value(*indices, ctx)
-    if family == "pleth":
-        return pleth_value(*indices, ctx)
     if family == "kf":
         return kostka_foulkes(*indices)
+    if ctx is None:
+        ctx = SweepContext()
+    if family == "kron":
+        return _kron_value(*indices, ctx)
+    if family == "pleth":
+        return plethysm_coefficient(*indices, ctx.chars, ctx.powers, ctx.maps)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -516,6 +496,7 @@ def _json_value(value):
 
 
 def _check_one(rule, family, indices, params, report, ctx):
+    """Check one instance into report; False when it is a counterexample."""
     outcome = apply_rule(rule, indices, **params)
     left = coefficient_of(family, indices, ctx)
     if outcome.vanishes:
@@ -539,24 +520,28 @@ def _check_one(rule, family, indices, params, report, ctx):
                 "image_value": _json_value(right),
             }
         )
+    return left == right
 
 
 def _sweep_stride(rule, bounds, start, step, ctx=None):
     """Check every step-th in-bounds instance beginning at start.  Used both
-    for the serial sweep (0, 1) and as the worker of the parallel one."""
+    for the serial sweep (0, 1) and as the worker of the parallel one.
+    Returns the report and the enumeration index of each counterexample."""
     if ctx is None:
         ctx = SweepContext()
     family = FAMILY_OF[rule]
     capped = family == "pleth"
     report = RuleReport(rule)
+    found = []
     for i, (indices, params, image_weight) in enumerate(_instances(rule, bounds)):
         if i % step != start:
             continue
         if capped and image_weight > bounds.max_image_weight:
             report.skipped += 1
             continue
-        _check_one(rule, family, indices, params, report, ctx)
-    return report
+        if not _check_one(rule, family, indices, params, report, ctx):
+            found.append(i)
+    return report, found
 
 
 def verify_rule(rule, bounds=None, ctx=None, jobs=1):
@@ -567,9 +552,9 @@ def verify_rule(rule, bounds=None, ctx=None, jobs=1):
     report.counterexamples is expected to stay empty.
 
     With jobs > 1 the instances are strided over a process pool of at most
-    os.cpu_count() workers; workers are pure and the counters merge
-    deterministically (counterexample order then follows worker index rather
-    than enumeration order).  jobs < 1 raises ValueError.
+    os.cpu_count() workers; workers are pure, the counters add up, and the
+    counterexamples are merged back into enumeration order, so the report
+    equals the serial one.  jobs < 1 raises ValueError.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -578,7 +563,7 @@ def verify_rule(rule, bounds=None, ctx=None, jobs=1):
         bounds = SweepBounds()
     started = time.perf_counter()
     if jobs == 1:
-        report = _sweep_stride(rule, bounds, 0, 1, ctx)
+        report, _ = _sweep_stride(rule, bounds, 0, 1, ctx)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -588,13 +573,16 @@ def verify_rule(rule, bounds=None, ctx=None, jobs=1):
                 pool.submit(_sweep_stride, rule, bounds, start, jobs)
                 for start in range(jobs)
             ]
-            for future in futures:
-                part = future.result()
-                report.checked += part.checked
-                report.transformed += part.transformed
-                report.vanished += part.vanished
-                report.skipped += part.skipped
-                report.counterexamples.extend(part.counterexamples)
+            parts = [future.result() for future in futures]
+        indexed = []
+        for part, found in parts:
+            report.checked += part.checked
+            report.transformed += part.transformed
+            report.vanished += part.vanished
+            report.skipped += part.skipped
+            indexed.extend(zip(found, part.counterexamples))
+        indexed.sort(key=lambda pair: pair[0])
+        report.counterexamples = [ce for _, ce in indexed]
     report.elapsed_s = time.perf_counter() - started
     return report
 
@@ -785,14 +773,13 @@ def reduced_value(report, ctx=None):
     """Coefficient at the reduced end of a reduction chain."""
     if report.vanishes:
         return 0
-    family = "kron" if report.family == "kronecker" else "pleth"
-    return coefficient_of(family, report.reduced, ctx)
+    return coefficient_of(FAMILY_KEY[report.family], report.reduced, ctx)
 
 
 def check_reduction(report, ctx=None):
     """Recompute both ends of the chain; True when the value is preserved."""
-    family = "kron" if report.family == "kronecker" else "pleth"
-    return coefficient_of(family, report.original, ctx) == reduced_value(report, ctx)
+    original = coefficient_of(FAMILY_KEY[report.family], report.original, ctx)
+    return original == reduced_value(report, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -818,8 +805,7 @@ def bench_reduction(family, indices, repeats=3):
     not a speedup, and raises immediately.
     """
     indices = tuple(to_partition(p) for p in indices)
-    short = "kron" if family == "kronecker" else "pleth"
-    naive_value, naive_s = _timed_value(short, indices, repeats)
+    naive_value, naive_s = _timed_value(FAMILY_KEY[family], indices, repeats)
     times = []
     value = None
     report = None

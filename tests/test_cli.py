@@ -13,6 +13,7 @@ from rectsym.cli import (
     EXIT_USAGE,
     main,
 )
+from rectsym.symmetries import coefficient_of
 
 
 def run(capsys, *argv):
@@ -41,6 +42,22 @@ def test_compute_plethysm(capsys):
     )
     assert code == EXIT_OK
     assert out == "1\n"
+
+
+@pytest.mark.parametrize(
+    "lam, mu, nu",
+    [((2, 2), (3,), (6, 4, 2)), ((4,), (2, 2), (6, 4, 4, 2))],
+    ids=["three-rows", "four-rows"],
+)
+def test_compute_plethysm_matches_coefficient_of(capsys, lam, mu, nu):
+    argv = ["compute", "plethysm"]
+    for flag, part in (("--lambda", lam), ("--mu", mu), ("--nu", nu)):
+        argv += [flag, ",".join(map(str, part))]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == EXIT_OK
+    value = coefficient_of("pleth", (lam, mu, nu))
+    assert value > 0
+    assert json.loads(out)["value"] == value
 
 
 def test_compute_empty_partition_spelled_zero(capsys):

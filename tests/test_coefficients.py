@@ -12,20 +12,18 @@ from rectsym.coefficients import (
     kronecker_oracle_table,
     lr_coefficient,
     lr_coefficient_oracle,
-    lr_table,
     plethysm_coefficient,
     plethysm_oracle,
-    plethysm_schur_map,
 )
 from rectsym.partitions import conjugate, contains, partitions_of
 from rectsym.powersum import (
     CharCache,
     NonIntegralResult,
     char_row,
-    internal_product,
     schur_coefficient_of_p,
     schur_to_p,
 )
+from test_powersum import internal_product
 
 
 def test_lr_pieri_row():
@@ -50,12 +48,6 @@ def test_lr_classic_square():
     }
     for nu in partitions_of(6):
         assert lr_coefficient((2, 1), (2, 1), nu) == expect.get(nu, 0)
-
-
-def test_lr_table_matches_pointwise():
-    table = lr_table((2, 1), (1,), 3)
-    cleaned = {p: c for p, c in table.items() if c}
-    assert cleaned == {(3, 1): 1, (2, 2): 1, (2, 1, 1): 1}
 
 
 def test_lr_degenerate_cases():
@@ -250,13 +242,25 @@ def test_plethysm_oracle_rejects_malformed_partition():
         plethysm_oracle((2,), (1,), (1, 2))
 
 
-def test_plethysm_schur_map():
-    got = plethysm_schur_map((2,), (2,), 4)
-    cleaned = {p: c for p, c in got.items() if c}
-    assert cleaned == {(4,): 1, (2, 2): 1}
-    got = plethysm_schur_map((1, 1), (1, 1), 4)
-    cleaned = {p: c for p, c in got.items() if c}
-    assert cleaned == {(2, 1, 1): 1}
+def test_plethysm_full_expansions_weight_4():
+    # every nu of weight 4, so both arity branches and the zeros are read
+    expect = {
+        ((2,), (2,)): {(4,): 1, (2, 2): 1},
+        ((1, 1), (1, 1)): {(2, 1, 1): 1},
+        ((2,), (1, 1)): {(2, 2): 1, (1, 1, 1, 1): 1},
+    }
+    for (lam, mu), table in expect.items():
+        for nu in partitions_of(4):
+            assert plethysm_coefficient(lam, mu, nu) == table.get(nu, 0), (lam, mu, nu)
+
+
+def test_plethysm_non_integral_sum_raises():
+    # a doctored character row leaves a remainder in the division by N!
+    cache = CharCache()
+    row = char_row((2,), cache)
+    cache.rows[(2,)] = (row[0] + 1,) + row[1:]
+    with pytest.raises(NonIntegralResult):
+        plethysm_coefficient((2,), (1,), (2,), cache)
 
 
 def test_plethysm_against_evaluation_oracle():
@@ -270,3 +274,15 @@ def test_plethysm_against_evaluation_oracle():
                         assert plethysm_coefficient(lam, mu, nu) == plethysm_oracle(
                             lam, mu, nu
                         ), (lam, mu, nu)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_plethysm_matches_oracle_past_criterion_2(data):
+    # |nu| up to 12 with one to five rows: both arity branches of the engine
+    a = data.draw(st.integers(1, 6))
+    b = data.draw(st.integers(1, 12 // a))
+    lam = data.draw(st.sampled_from(partitions_of(a)))
+    mu = data.draw(st.sampled_from(partitions_of(b)))
+    nu = data.draw(st.sampled_from([p for p in partitions_of(a * b) if len(p) <= 5]))
+    assert plethysm_coefficient(lam, mu, nu) == plethysm_oracle(lam, mu, nu)

@@ -143,13 +143,6 @@ def test_laurent_is_symmetric():
     assert not (x + y * y).is_symmetric()
 
 
-def test_laurent_permuted():
-    x, y, z = (xvar(3, i) for i in range(3))
-    p = x * x + y
-    q = p.permuted((1, 2, 0))
-    assert q == y * y + z
-
-
 def test_laurent_str():
     x, y = xvar(2, 0), xvar(2, 1)
     assert str(x * x + x * y + y * y) == "x1^2 + x1*x2 + x2^2"
@@ -157,21 +150,6 @@ def test_laurent_str():
     t = TPoly.t()
     p = (x * y).scale(1 - t)
     assert str(p) == "(1 - t)*x1*x2"
-
-
-def test_laurent_exact_divide():
-    x, y = xvar(2, 0), xvar(2, 1)
-    num = (x + y) * (x - y)
-    assert num.exact_divide(x - y) == x + y
-    with pytest.raises(InexactDivision):
-        (x + y).exact_divide(x - y)
-
-
-def test_laurent_exact_divide_scalar():
-    x = xvar(1, 0)
-    assert (x.scale(6)).exact_divide(3) == x.scale(2)
-    with pytest.raises(InexactDivision):
-        (x.scale(3)).exact_divide(2)
 
 
 @st.composite

@@ -4,6 +4,7 @@ from math import factorial
 import pytest
 
 from rectsym.partitions import conjugate, hooks, partitions_of
+from rectsym.polyring import LaurentPoly
 from rectsym.powersum import (
     CharCache,
     PExpansion,
@@ -11,17 +12,50 @@ from rectsym.powersum import (
     char_row,
     char_value,
     class_sizes,
-    internal_product,
-    p_expansion_to_poly,
-    p_to_schur,
     plethysm_p,
-    power_sum_poly,
     schur_coefficient_of_p,
     schur_to_p,
-    to_int_poly,
     zee,
 )
 from rectsym.schur import schur_coefficients, schur_poly_of_partition
+
+# p-basis references for the tests; the library itself only reads single
+# Schur coefficients of a p expansion (schur_coefficient_of_p).
+
+
+def power_sum_poly(k, n):
+    """p_k in n variables."""
+    return sum((LaurentPoly.variable(n, i, k) for i in range(n)), LaurentPoly.zero(n))
+
+
+def p_expansion_to_poly(expansion, n):
+    """Evaluate a p expansion in n variables; the result must be integral."""
+    out = LaurentPoly.zero(n)
+    for rho, c in expansion.terms.items():
+        term = LaurentPoly.constant(n, c)
+        for part in rho:
+            term = term * power_sum_poly(part, n)
+        out = out + term
+    assert all(Fraction(c).denominator == 1 for c in out.terms.values()), out
+    return out.map_coefficients(int)
+
+
+def p_to_schur(expansion, cache=None):
+    """Every nonzero Schur coefficient of a p expansion."""
+    out = {}
+    for lam in partitions_of(expansion.weight):
+        c = schur_coefficient_of_p(expansion, lam, cache)
+        if c:
+            out[lam] = c
+    return out
+
+
+def internal_product(a, b):
+    """Kronecker product on the p basis: p_rho * p_sigma = delta z_rho p_rho."""
+    if a.weight != b.weight:
+        raise WeightMismatch(f"weights {a.weight} != {b.weight}")
+    terms = {rho: zee(rho) * c * b.terms[rho] for rho, c in a.terms.items() if rho in b.terms}
+    return PExpansion(a.weight, terms)
 
 
 def dim(lam):
@@ -171,7 +205,7 @@ def test_p_expansion_evaluates_to_schur_poly():
     n = 3
     for w in range(5):
         for lam in partitions_of(w):
-            poly = to_int_poly(p_expansion_to_poly(schur_to_p(lam, cache), n))
+            poly = p_expansion_to_poly(schur_to_p(lam, cache), n)
             assert poly == schur_poly_of_partition(lam, n)
 
 

@@ -1,7 +1,10 @@
 """Rule appliers, exhaustive verification sweeps, and weight reduction."""
 
+import json
+
 import pytest
 
+from rectsym import symmetries
 from rectsym.powersum import WeightMismatch
 from rectsym.symmetries import (
     FAMILY_OF,
@@ -14,7 +17,6 @@ from rectsym.symmetries import (
     bench_reduction,
     check_reduction,
     coefficient_of,
-    pleth_value,
     reduce_indices,
     reduce_kronecker,
     reduce_plethysm,
@@ -115,17 +117,21 @@ def test_tableau_ratio():
 
 def test_pleth_value_pins():
     ctx = SweepContext()
-    assert pleth_value((2,), (2,), (4,), ctx) == 1
-    assert pleth_value((2,), (2,), (2, 2), ctx) == 1
-    assert pleth_value((2,), (2,), (3, 1), ctx) == 0
-    assert pleth_value((1, 1), (1, 1), (2, 1, 1), ctx) == 1
-    assert pleth_value((1, 1), (1, 1), (2, 2), ctx) == 0
+
+    def pleth(lam, mu, nu, ctx=None):
+        return coefficient_of("pleth", (lam, mu, nu), ctx)
+
+    assert pleth((2,), (2,), (4,), ctx) == 1
+    assert pleth((2,), (2,), (2, 2), ctx) == 1
+    assert pleth((2,), (2,), (3, 1), ctx) == 0
+    assert pleth((1, 1), (1, 1), (2, 1, 1), ctx) == 1
+    assert pleth((1, 1), (1, 1), (2, 2), ctx) == 0
     # empty-target conventions: s_lam[s_mu] has constant term only when the
     # evaluation collapses to a scalar
-    assert pleth_value((), (), ()) == 1
-    assert pleth_value((), (3, 1), ()) == 1
-    assert pleth_value((2,), (), ()) == 1
-    assert pleth_value((1, 1), (), ()) == 0
+    assert pleth((), (), ()) == 1
+    assert pleth((), (3, 1), ()) == 1
+    assert pleth((2,), (), ()) == 1
+    assert pleth((1, 1), (), ()) == 0
 
 
 def test_coefficient_of_dispatch():
@@ -159,6 +165,22 @@ def test_verify_parallel_matches_serial():
     for field in ("checked", "transformed", "vanished", "skipped"):
         assert getattr(serial, field) == getattr(parallel, field)
     assert serial.counterexamples == parallel.counterexamples
+
+
+def test_verify_parallel_counterexamples_in_serial_order(monkeypatch):
+    # a faulty Kronecker value for one-row lam breaks the rule on instances
+    # that both workers of the forked pool see
+    real = symmetries.coefficient_of
+
+    def faulty(family, indices, ctx=None):
+        value = real(family, indices, ctx)
+        return value + 1 if len(indices[0]) == 1 else value
+
+    monkeypatch.setattr(symmetries, "coefficient_of", faulty)
+    serial = verify_rule("kron-box", SMALL).as_dict(with_timing=False)
+    parallel = verify_rule("kron-box", SMALL, jobs=2).as_dict(with_timing=False)
+    assert len(serial["counterexamples"]) >= 2
+    assert json.dumps(parallel) == json.dumps(serial)
 
 
 def test_verify_all_shape():
@@ -245,7 +267,7 @@ def test_reduce_plethysm_length_precheck():
     assert r.vanishes
     assert r.reduced is None
     assert r.chain[0]["op"] == "vanishes"
-    assert pleth_value((1,), (1, 1), (2,)) == 0
+    assert coefficient_of("pleth", ((1,), (1, 1), (2,))) == 0
 
 
 def test_reduce_plethysm_identity():
