@@ -291,7 +291,7 @@ def plethysm_coefficient(lam, mu, nu, cache=None, powers=None, maps=None):
     key = (lam, mu, n)
     poly = maps.get(key) if maps is not None else None
     if poly is None:
-        products = powers.setdefault((mu, n), {}) if powers is not None else {}
+        products = {} if powers is None else powers.setdefault((mu, n), {})
         poly = _schur_at(lam, schur_poly_of_partition(mu, n), products, cache)
         if maps is not None:
             maps[key] = poly

@@ -805,10 +805,11 @@ def bench_reduction(family, indices, repeats=3):
     not a speedup, and raises immediately.
     """
     indices = tuple(to_partition(p) for p in indices)
+    # planning first rejects a family without a planner before any timing
+    report = reduce_indices(family, indices)
     naive_value, naive_s = _timed_value(FAMILY_KEY[family], indices, repeats)
     times = []
     value = None
-    report = None
     for _ in range(repeats):
         started = time.perf_counter()
         report = reduce_indices(family, indices)

@@ -337,3 +337,6 @@ def test_bench_reduction():
     assert b["value"] == 1
     assert b["reduced_s"] < b["naive_s"]
     assert b["weight_before"] == 24 and b["weight_after"] == 3
+    for family in ("lr", "nope"):
+        with pytest.raises(ValueError):
+            bench_reduction(family, ((1,), (1,), (2,)), repeats=1)
