@@ -38,7 +38,6 @@ from .powersum import (
     zee,
 )
 from .schur import (
-    schur_coefficient_of,
     schur_coefficients,
     schur_poly,
     schur_poly_of_partition,

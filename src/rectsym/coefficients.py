@@ -4,15 +4,20 @@ Each family has a main path and a structurally different oracle so the two
 can be played against each other:
 
   lr         lattice-word skew tableau count
-  lr oracle  product of Schur polynomials, coefficient read off exactly
+  lr oracle  product of Schur polynomials, read with schur_coefficients
   kron       exact integer character sum over the classes of S_n
-  kron oracle  two-alphabet expansion of s_nu(x_i y_j)
+  kron oracle  Jacobi-Trudi determinant of s_nu on the two-alphabet x_i y_j,
+               read by sorting the x and the y exponents
   pleth      length(nu) <= 3: integer character sum of s_lam[s_mu] in
-             length(nu) variables, s_nu read with the alternant; longer nu:
+             length(nu) variables, read with schur_coefficients; longer nu:
              plethysm on the power sum basis (each route is the faster one
              at its arities, see POLY_MAX_ARITY)
   pleth oracle  Jacobi-Trudi determinant over h or e evaluated on the
-               monomials of the inner Schur polynomial, then expansion
+               monomials of the inner Schur polynomial, read with
+               schur_coefficients
+
+Every polynomial route ends in the one reader, schur.schur_coefficients (the
+Kronecker oracle in its two-alphabet form); no oracle reads a character.
 
 Kostka-Foulkes lives in hall_littlewood: charge, with Hall-Littlewood
 elimination as its oracle.
@@ -20,7 +25,7 @@ elimination as its oracle.
 
 from functools import lru_cache
 from math import factorial
-from operator import mul
+from operator import add, mul, sub
 
 from .partitions import (
     conjugate,
@@ -40,9 +45,10 @@ from .powersum import (
     schur_to_p,
 )
 from .schur import (
-    schur_coefficient_of,
+    delta,
     schur_coefficients,
     schur_poly_of_partition,
+    sort_with_sign,
 )
 
 
@@ -103,7 +109,10 @@ def lr_coefficient(lam, mu, nu):
 
 @lru_cache(maxsize=None)
 def _schur_product(lam, mu, n):
-    return schur_poly_of_partition(lam, n) * schur_poly_of_partition(mu, n)
+    """Schur coefficients of s_lam * s_mu in n variables."""
+    return schur_coefficients(
+        schur_poly_of_partition(lam, n) * schur_poly_of_partition(mu, n), n
+    )
 
 
 def lr_coefficient_oracle(lam, mu, nu):
@@ -118,7 +127,7 @@ def lr_coefficient_oracle(lam, mu, nu):
     n = len(nu)
     if len(lam) > n or len(mu) > n:
         return 0
-    return schur_coefficient_of(_schur_product(lam, mu, n), nu, n)
+    return _schur_product(lam, mu, n).get(nu, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +197,7 @@ def kronecker_coefficient(lam, mu, nu, cache=None):
     return g
 
 
-def _bialphabet_schur(nu, l, m, cache=None):
+def _bialphabet_schur(nu, l, m):
     """s_nu evaluated on the product alphabet x_i y_j, arity l + m."""
     xy = LaurentPoly(l + m)
     for i in range(l):
@@ -197,48 +206,44 @@ def _bialphabet_schur(nu, l, m, cache=None):
             e[i] = 1
             e[l + j] = 1
             xy.terms[tuple(e)] = 1
-    return _schur_at(nu, xy, {}, cache)
+    return _jacobi_trudi_at(nu, xy)
 
 
 def kronecker_oracle_table(nu, l, m, cache=None):
-    """Coefficients of s_lam(x) s_mu(y) in s_nu(xy), keyed (lam, mu)."""
-    nu = tuple(nu)
+    """Coefficients of s_lam(x) s_mu(y) in s_nu(xy), keyed (lam, mu).
+
+    s_nu(xy) comes from the Jacobi-Trudi determinant on the l*m letters
+    x_i y_j, and is read in one pass with a double sort: a_delta(x)
+    a_delta(y) s_nu(xy) = sum c_(alpha,beta) a_(alpha+delta)(x)
+    a_(beta+delta)(y), each factor sorted against its own staircase.  No
+    character is read, so cache (kept for callers that share one with the
+    engine) goes unused.
+    """
+    nu = to_partition(nu)
     if len(nu) > l * m:
         return {}
-    poly = _bialphabet_schur(nu, l, m, cache)
-    # peel off y-Schur polynomials by lex order on the y part
-    ydict = {}
-    for e, c in poly.terms.items():
-        ydict.setdefault(e[l:], {})[e[:l]] = c
-    table = {}
-    while ydict:
-        ey = max(ydict)
-        xpoly = ydict.pop(ey)
-        kappa = to_partition(ey)
-        s_y = schur_poly_of_partition(kappa, m)
-        for eys, cs in s_y.terms.items():
-            if eys == ey:
-                continue
-            tgt = ydict.setdefault(eys, {})
-            for ex, cx in xpoly.items():
-                v = tgt.get(ex, 0) - cs * cx
-                if v:
-                    tgt[ex] = v
-                elif ex in tgt:
-                    del tgt[ex]
-            if not tgt:
-                del ydict[eys]
-        xlp = LaurentPoly(l)
-        xlp.terms = dict(xpoly)
-        for xshape, c in schur_coefficients(xlp, l).items():
-            table[(xshape, kappa)] = c
-    return table
+    dx, dy = delta(l), delta(m)
+    acc = {}
+    for e, c in _bialphabet_schur(nu, l, m).terms.items():
+        hx = sort_with_sign(map(add, e[:l], dx))
+        if hx is None:
+            continue
+        hy = sort_with_sign(map(add, e[l:], dy))
+        if hy is None:
+            continue
+        key = (hx[0], hy[0])
+        acc[key] = acc.get(key, 0) + hx[1] * hy[1] * c
+    return {
+        (to_partition(map(sub, bx, dx)), to_partition(map(sub, by, dy))): c
+        for (bx, by), c in acc.items()
+        if c
+    }
 
 
 def kronecker_oracle(lam, mu, nu, l, m, cache=None, table=None):
-    """Kronecker coefficient read from the two-alphabet expansion of s_nu.
-    Each index must be a partition (trailing zeros allowed), else
-    ValueError."""
+    """Kronecker coefficient read from the two-alphabet expansion of s_nu;
+    cache is accepted and unused, as in kronecker_oracle_table.  Each index
+    must be a partition (trailing zeros allowed), else ValueError."""
     lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
     if not (sum(lam) == sum(mu) == sum(nu)):
         return 0
@@ -270,11 +275,11 @@ def plethysm_coefficient(lam, mu, nu, cache=None, powers=None, maps=None):
     (trailing zeros allowed), else ValueError.
 
     When nu has at most POLY_MAX_ARITY rows, s_lam[s_mu] is evaluated in
-    length(nu) variables and s_nu read off with the alternant; longer nu go
+    length(nu) variables and read with schur_coefficients; longer nu go
     through the p basis.  cache is a CharCache.  powers and maps are dicts
     that may be shared across calls: powers holds the products
-    prod_i s_mu(x^rho_i) per (mu, n), maps the evaluated plethysms keyed
-    (lam, mu, n).
+    prod_i s_mu(x^rho_i) per (mu, n), maps the Schur coefficients of the
+    evaluated plethysms keyed (lam, mu, n).
     """
     lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
     if sum(lam) * sum(mu) != sum(nu):
@@ -289,13 +294,14 @@ def plethysm_coefficient(lam, mu, nu, cache=None, powers=None, maps=None):
         comp = plethysm_p(schur_to_p(lam, cache), schur_to_p(mu, cache))
         return schur_coefficient_of_p(comp, nu, cache)
     key = (lam, mu, n)
-    poly = maps.get(key) if maps is not None else None
-    if poly is None:
+    coeffs = maps.get(key) if maps is not None else None
+    if coeffs is None:
         products = {} if powers is None else powers.setdefault((mu, n), {})
         poly = _schur_at(lam, schur_poly_of_partition(mu, n), products, cache)
+        coeffs = schur_coefficients(poly, n)
         if maps is not None:
-            maps[key] = poly
-    return schur_coefficient_of(poly, nu, n)
+            maps[key] = coeffs
+    return coeffs.get(nu, 0)
 
 
 def _alphabet_of(poly):
@@ -319,7 +325,7 @@ def _h_table(alphabet, kmax, n):
             src = table[k - 1]
             tgt = table[k]
             for e, c in src.items():
-                key = tuple(a + b for a, b in zip(e, mono))
+                key = tuple(map(add, e, mono))
                 tgt[key] = tgt.get(key, 0) + c
     return table
 
@@ -334,7 +340,7 @@ def _e_table(alphabet, kmax, n):
             src = table[k - 1]
             tgt = table[k]
             for e, c in src.items():
-                key = tuple(a + b for a, b in zip(e, mono))
+                key = tuple(map(add, e, mono))
                 tgt[key] = tgt.get(key, 0) + c
     return table
 
@@ -357,7 +363,7 @@ def _poly_det(rows, n):
             sign = -1 if idx & 1 else 1
             for e1, c1 in entry.items():
                 for e2, c2 in sub.items():
-                    key = tuple(a + b for a, b in zip(e1, e2))
+                    key = tuple(map(add, e1, e2))
                     v = total.get(key, 0) + sign * c1 * c2
                     if v:
                         total[key] = v
@@ -368,13 +374,11 @@ def _poly_det(rows, n):
     return minor(0, tuple(range(size)))
 
 
-@lru_cache(maxsize=None)
-def _pleth_oracle_poly(lam, mu, n):
-    """s_lam evaluated at the monomials of s_mu in n variables, by the
-    Jacobi-Trudi determinant with the cheaper of the h or e kernels."""
-    g = schur_poly_of_partition(mu, n)
-    if not g:
-        return None  # inner vanishes at this arity
+def _jacobi_trudi_at(lam, g):
+    """s_lam evaluated at the monomials of the monomial-positive polynomial
+    g, by the Jacobi-Trudi determinant with the cheaper of the h or e
+    kernels."""
+    n = g.arity
     alphabet = _alphabet_of(g)
     ell = len(lam)
     width = lam[0] if lam else 0
@@ -394,10 +398,19 @@ def _pleth_oracle_poly(lam, mu, n):
             [({} if k < 0 or k > len(alphabet) else table[k]) for k in r]
             for r in e_need
         ]
-    det = _poly_det(rows, n)
     out = LaurentPoly(n)
-    out.terms = det
+    out.terms = _poly_det(rows, n)
     return out
+
+
+@lru_cache(maxsize=None)
+def _pleth_oracle_expansion(lam, mu, n):
+    """Schur coefficients of s_lam evaluated at the monomials of s_mu in n
+    variables; None when s_mu vanishes at this arity."""
+    g = schur_poly_of_partition(mu, n)
+    if not g:
+        return None
+    return schur_coefficients(_jacobi_trudi_at(lam, g), n)
 
 
 def plethysm_oracle(lam, mu, nu):
@@ -408,8 +421,7 @@ def plethysm_oracle(lam, mu, nu):
     lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
     if sum(lam) * sum(mu) != sum(nu):
         return 0
-    n = len(nu)
-    poly = _pleth_oracle_poly(lam, mu, n)
-    if poly is None:
+    coeffs = _pleth_oracle_expansion(lam, mu, len(nu))
+    if coeffs is None:
         return 1 if not lam and not nu else 0
-    return schur_coefficient_of(poly, nu, n)
+    return coeffs.get(nu, 0)

@@ -8,9 +8,10 @@ Hall-Littlewood basis by elimination on leading monomials.
 P_mu(x; t) is the symmetrization of x^mu prod_{i<j} (x_i - t x_j)/(x_i - x_j),
 normalized by v_mu(t) so the leading coefficient is 1.  Rather than summing
 n! rational terms, multiply out T = x^mu prod (x_i - t x_j) once, antisymmetrize
-monomial by monomial (sorting exponents with a sign, dropping repeats), and
-divide the resulting alternant sum by the delta alternant, which turns each
-strictly decreasing exponent beta into the Schur polynomial of beta - delta.
+monomial by monomial with schur.sort_with_sign (each exponent sorted
+decreasingly with its sign, repeats dropped), and divide the resulting
+alternant sum by the delta alternant, which turns each strictly decreasing
+exponent beta into the Schur polynomial of beta - delta.
 One exact division by v_mu(t) at the end and no fraction ever appears.
 
 The normalization v_mu counts multiplicities in mu padded with zeros to the
@@ -22,7 +23,13 @@ from functools import lru_cache
 
 from .partitions import complement, is_weakly_decreasing, iter_ssyt, to_partition, zero_pad
 from .polyring import LaurentPoly, TPoly, t_factorial
-from .schur import NotSymmetric, delta, schur_poly, schur_poly_of_partition
+from .schur import (
+    NotSymmetric,
+    delta,
+    schur_poly,
+    schur_poly_of_partition,
+    sort_with_sign,
+)
 
 
 @lru_cache(maxsize=None)
@@ -53,15 +60,6 @@ def v_poly(mu, n):
     return out
 
 
-def _inversions(seq):
-    inv = 0
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] < seq[j]:
-                inv += 1
-    return inv
-
-
 @lru_cache(maxsize=None)
 def hl_poly(mu, n):
     """Hall-Littlewood P_mu in n variables, coefficients in Z[t].
@@ -80,10 +78,11 @@ def hl_poly(mu, n):
     T = t_vandermonde(n).shift(padded)
     acc = {}
     for e, c in T.terms.items():
-        if len(set(e)) < n:
+        hit = sort_with_sign(e)
+        if hit is None:
             continue
-        beta = tuple(sorted(e, reverse=True))
-        signed = -c if _inversions(e) & 1 else c
+        beta, sign = hit
+        signed = c if sign > 0 else -c
         prev = acc.get(beta)
         s = signed if prev is None else prev + signed
         if s:

@@ -6,7 +6,6 @@ decreasing tuple of ints with a fixed, significant length; it is what a box
 complement produces before any trailing zeros are stripped.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from operator import ge
 
@@ -181,15 +180,20 @@ def hooks(p):
 def count_ssyt(p, n):
     """Number of semistandard tableaux of shape p with entries in 1..n.
 
-    Hook content formula: prod over cells of (n + j - i) / hook(i, j).
+    Hook content formula: prod over cells of (n + j - i) / hook(i, j), as
+    one exact division; a remainder raises ArithmeticError.  p must be a
+    partition (trailing zeros allowed), else ValueError.
     """
-    total = Fraction(1)
-    hk = hooks(p)
-    for i in range(len(p)):
-        for j in range(p[i]):
-            total *= Fraction(n + j - i, hk[i][j])
-    assert total.denominator == 1
-    return int(total)
+    p = to_partition(p)
+    top = bottom = 1
+    for i, row in enumerate(hooks(p)):
+        for j, h in enumerate(row):
+            top *= n + j - i
+            bottom *= h
+    total, rem = divmod(top, bottom)
+    if rem:
+        raise ArithmeticError(f"hook content product for {p} in {n} is {top}/{bottom}")
+    return total
 
 
 def iter_ssyt(shape, n, content=None):

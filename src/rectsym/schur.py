@@ -1,4 +1,5 @@
-"""Schur Laurent polynomials in n variables and expansion in that basis.
+"""Schur Laurent polynomials in n variables, and the one reader of Schur
+coefficients.
 
 The construction is the bialternant: s_lam = a_(lam+delta) / a_delta with
 delta = (n-1, ..., 1, 0).  It makes sense for any weakly decreasing integer
@@ -7,17 +8,22 @@ package leans on everywhere are proved by direct computation here:
 
   translation   s_(lam + (k,...,k)) = (x1...xn)^k * s_lam
   inversion     s_lam(1/x1, ..., 1/xn) = s_(box complement of lam in 0 x n)
+
+The same identity reads coefficients back.  For symmetric f = sum c_alpha
+x^alpha, a_delta * f = sum c_alpha a_(alpha+delta), and sort_with_sign turns
+each a_(alpha+delta) into +-a_(nu+delta) or zero; so schur_coefficients reads
+every s_nu off in one pass over the terms of f.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
+from operator import add, sub
 
 from .partitions import (
     complement,
     is_weakly_decreasing,
-    to_partition,
     iter_ssyt,
+    to_partition,
     ssyt_weight,
     zero_pad,
 )
@@ -37,14 +43,22 @@ def delta(n):
     return tuple(range(n - 1, -1, -1))
 
 
-@lru_cache(maxsize=None)
-def _signed_perms(n):
-    """All (permutation, sign) pairs of S_n."""
-    out = []
-    for p in permutations(range(n)):
-        inv = sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
-        out.append((p, -1 if inv & 1 else 1))
-    return tuple(out)
+def sort_with_sign(seq):
+    """(seq sorted decreasingly, sign of the sorting permutation), or None
+    when an entry repeats, which is when the alternant of seq vanishes."""
+    out = list(seq)
+    sign = 1
+    for i in range(1, len(out)):
+        v = out[i]
+        j = i
+        while j and out[j - 1] < v:
+            out[j] = out[j - 1]
+            j -= 1
+            sign = -sign
+        if j and out[j - 1] == v:
+            return None
+        out[j] = v
+    return tuple(out), sign
 
 
 def alternant(seq, n=None):
@@ -54,16 +68,12 @@ def alternant(seq, n=None):
         n = len(seq)
     if len(seq) != n:
         raise LengthMismatch(f"sequence {seq} in arity {n}")
-    if len(set(seq)) < n:
+    hit = sort_with_sign(seq)
+    if hit is None:
         return LaurentPoly.zero(n)
-    terms = {}
-    for p, sign in _signed_perms(n):
-        e = [0] * n
-        for i, s in enumerate(seq):
-            e[p[i]] = s
-        terms[tuple(e)] = sign
+    base = hit[1]
     r = LaurentPoly(n)
-    r.terms = terms
+    r.terms = {e: base * sort_with_sign(e)[1] for e in permutations(seq)}
     return r
 
 
@@ -119,79 +129,30 @@ def schur_poly_ssyt(p, n):
 
 
 # ---------------------------------------------------------------------------
-# expansion
-
-
-@dataclass(frozen=True)
-class SchurExpansion:
-    """Expansion of a symmetric Laurent polynomial in Schur polynomials.
-
-    entries maps weakly decreasing length-arity sequences (possibly with
-    negative rows) to coefficients.  shift records the power of x1...xn that
-    was factored out before elimination; keys already include it.
-    """
-
-    arity: int
-    shift: int
-    entries: dict
-
-    def as_partition_dict(self):
-        out = {}
-        for key, c in self.entries.items():
-            if key and key[-1] < 0:
-                raise ValueError(f"negative row in {key}; not a partition expansion")
-            out[to_partition(key)] = c
-        return out
-
-
-def expand_in_schur(p, n, check=True):
-    """Write a symmetric LaurentPoly as an integer combination of Schur
-    polynomials by triangular elimination on lex-leading monomials."""
-    if p.arity != n:
-        raise LengthMismatch(f"arity {p.arity} vs {n}")
-    if check and not p.is_symmetric():
-        raise NotSymmetric("input is not symmetric")
-    if not p:
-        return SchurExpansion(n, 0, {})
-    shift = min(p.min_exponents()) if n else 0
-    work = p.shift((-shift,) * n) if shift else p
-    entries = {}
-    while work:
-        e = work.leading_monomial()
-        if not is_weakly_decreasing(e) or (e and e[-1] < 0):
-            raise NotSymmetric(f"leading monomial {e} is not dominant")
-        c = work.terms[e]
-        entries[tuple(x + shift for x in e)] = c
-        work = work - schur_poly_of_partition(to_partition(e), n).scale(c)
-    return SchurExpansion(n, shift, entries)
+# reading Schur coefficients
 
 
 def schur_coefficients(p, n):
-    """Partition-keyed Schur coefficients of a genuinely polynomial input."""
-    return expand_in_schur(p, n).as_partition_dict()
+    """Partition-keyed Schur coefficients of a symmetric polynomial.
 
-
-def schur_coefficient_of(p, nu, n):
-    """Single Schur coefficient of a symmetric polynomial, read against the
-    delta alternant: coeff = sum over w of sgn(w) * p[nu + delta - w(delta)].
-    Avoids both the full product with a_delta and elimination."""
+    One pass over the terms: a_delta * p = sum_alpha c_alpha a_(alpha+delta),
+    and each a_(alpha+delta) is sign * a_(nu+delta) with nu + delta the
+    decreasing sort of alpha + delta, or zero when alpha + delta repeats an
+    entry.  A nonzero coefficient at a sequence with a negative row raises
+    ValueError: the input is Laurent, not a partition expansion.
+    """
     if p.arity != n:
         raise LengthMismatch(f"arity {p.arity} vs {n}")
-    if n == 0:
-        return p.coefficient(()) if not nu else 0
-    if len(nu) > n:
-        return 0
-    target = tuple(a + d for a, d in zip(zero_pad(nu, n), delta(n)))
-    total = 0
-    terms = p.terms
-    for w, sign in _signed_perms(n):
-        shifted = [0] * n
-        for i in range(n):
-            shifted[w[i]] = n - 1 - i
-        c = terms.get(tuple(t - s for t, s in zip(target, shifted)))
-        if c:
-            total += sign * c
-    return total
+    if not p.is_symmetric():
+        raise NotSymmetric("input is not symmetric")
+    d = delta(n)
+    acc = {}
+    for e, c in p.terms.items():
+        hit = sort_with_sign(map(add, e, d))
+        if hit is not None:
+            beta, sign = hit
+            acc[beta] = acc.get(beta, 0) + sign * c
+    return {to_partition(map(sub, beta, d)): c for beta, c in acc.items() if c}
 
 
 # ---------------------------------------------------------------------------

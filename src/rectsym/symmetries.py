@@ -310,7 +310,7 @@ class SweepBounds:
 
 class SweepContext:
     """Caches scoped to one sweep: character tables, inner-power products,
-    evaluated plethysm polynomials, and Kronecker values."""
+    Schur coefficients of evaluated plethysms, and Kronecker values."""
 
     def __init__(self):
         self.chars = CharCache()

@@ -1,0 +1,91 @@
+"""Each oracle computes its values without the engine it checks.
+
+The engine's kernel is replaced by a function that raises, the oracle's
+own caches are emptied, and the oracle must still return the pinned values.
+"""
+
+from rectsym import coefficients, hall_littlewood, powersum
+from rectsym.polyring import TPoly
+
+
+def _broken(*args, **kwargs):
+    raise AssertionError("the oracle called the engine")
+
+
+def _break(monkeypatch, targets):
+    for module, name in targets:
+        monkeypatch.setattr(module, name, _broken)
+
+
+def test_kronecker_oracle_reads_no_characters(monkeypatch):
+    _break(
+        monkeypatch,
+        [
+            (powersum, "char_row"),
+            (coefficients, "char_row"),
+            (coefficients, "_schur_at"),
+            (coefficients, "kronecker_coefficient"),
+        ],
+    )
+    cache = powersum.CharCache()
+    pins = [
+        ((2, 1), (2, 1), (2, 1), 1),
+        ((2, 2), (2, 1, 1), (3, 1), 1),
+        ((3, 1), (2, 2), (2, 1, 1), 1),
+        ((3, 2, 1), (3, 2, 1), (3, 2, 1), 5),
+    ]
+    for lam, mu, nu, g in pins:
+        got = coefficients.kronecker_oracle(lam, mu, nu, len(lam), len(mu), cache)
+        assert got == g, (lam, mu, nu)
+    assert not cache.rows
+
+
+def test_lr_oracle_counts_no_lattice_words(monkeypatch):
+    _break(monkeypatch, [(coefficients, "lr_coefficient")])
+    coefficients._schur_product.cache_clear()
+    pins = [
+        ((2, 1), (2, 1), (3, 2, 1), 2),
+        ((3, 2, 1), (2, 1), (4, 3, 2), 2),
+        ((2, 2), (2, 1), (3, 2, 2), 1),
+    ]
+    for lam, mu, nu, c in pins:
+        assert coefficients.lr_coefficient_oracle(lam, mu, nu) == c, (lam, mu, nu)
+
+
+def test_plethysm_oracle_reads_no_characters(monkeypatch):
+    _break(
+        monkeypatch,
+        [
+            (powersum, "char_row"),
+            (coefficients, "char_row"),
+            (coefficients, "_schur_at"),
+            (coefficients, "plethysm_coefficient"),
+        ],
+    )
+    coefficients._pleth_oracle_expansion.cache_clear()
+    pins = [
+        ((2,), (2,), (4,), 1),
+        ((2,), (2,), (2, 2), 1),
+        ((2,), (2,), (2, 1, 1), 0),
+        ((1, 1), (2,), (3, 1), 1),
+        ((3,), (2,), (4, 2), 1),
+        ((2,), (2, 1), (3, 2, 1), 1),
+        ((2,), (1, 1), (1, 1, 1, 1), 1),
+    ]
+    for lam, mu, nu, c in pins:
+        assert coefficients.plethysm_oracle(lam, mu, nu) == c, (lam, mu, nu)
+
+
+def test_kostka_foulkes_oracle_takes_no_charge(monkeypatch):
+    _break(
+        monkeypatch,
+        [(hall_littlewood, "charge"), (hall_littlewood, "kostka_foulkes")],
+    )
+    hall_littlewood._schur_in_hl.cache_clear()
+    pins = [
+        ((2, 1), (1, 1, 1), (0, 1, 1)),
+        ((3, 1), (2, 2), (0, 1)),
+        ((3, 2, 1), (2, 2, 1, 1), (0, 1, 2, 1)),
+    ]
+    for lam, mu, coeffs in pins:
+        assert hall_littlewood.kostka_foulkes_oracle(lam, mu) == TPoly(coeffs), (lam, mu)

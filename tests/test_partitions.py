@@ -214,6 +214,13 @@ def test_count_ssyt_pins():
     assert count_ssyt((2, 1), 3) == 8
 
 
+def test_count_ssyt_rejects_malformed_partitions():
+    with pytest.raises(ValueError):
+        count_ssyt((1, 2), 3)
+    with pytest.raises(ValueError):
+        count_ssyt((2, -1), 3)
+
+
 @given(partitions(max_weight=6), st.integers(1, 4))
 def test_count_ssyt_matches_enumeration(p, n):
     assert count_ssyt(p, n) == sum(1 for _ in iter_ssyt(p, n))

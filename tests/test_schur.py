@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rectsym.partitions import partitions_of, zero_pad
+from rectsym.partitions import partitions_of, to_partition, zero_pad
 from rectsym.polyring import LaurentPoly
 from rectsym.schur import (
     LengthMismatch,
@@ -10,12 +10,11 @@ from rectsym.schur import (
     check_inversion_law,
     check_translation_law,
     delta,
-    expand_in_schur,
-    schur_coefficient_of,
     schur_coefficients,
     schur_poly,
     schur_poly_of_partition,
     schur_poly_ssyt,
+    sort_with_sign,
 )
 
 
@@ -29,6 +28,18 @@ def vandermonde(n):
     for i in range(n):
         for j in range(i + 1, n):
             out = out * (var(n, i) - var(n, j))
+    return out
+
+
+def expand_by_elimination(p, n):
+    """Reference reader: subtract c * s_e for the lex-leading monomial x^e
+    until nothing is left.  Polynomial (not Laurent) symmetric input only."""
+    out = {}
+    while p:
+        e = p.leading_monomial()
+        c = p.terms[e]
+        out[to_partition(e)] = c
+        p = p - schur_poly_of_partition(to_partition(e), n).scale(c)
     return out
 
 
@@ -115,40 +126,63 @@ def test_expansion_routes_agree():
     for a in ((2, 1), (2, 2), (3,)):
         for b in ((1,), (1, 1), (2,)):
             p = schur_poly_of_partition(a, n) * schur_poly_of_partition(b, n)
-            full = schur_coefficients(p, n)
+            got = schur_coefficients(p, n)
+            full = expand_by_elimination(p, n)
             for nu in full:
-                assert schur_coefficient_of(p, nu, n) == full[nu]
-            assert schur_coefficient_of(p, (9, 9, 9), n) == 0
+                assert got.get(nu, 0) == full[nu]
+            assert got.get((9, 9, 9), 0) == 0
+
+
+def test_reader_matches_elimination_on_products():
+    # every s_a * s_b with |a| + |b| <= 6, in 1 to 4 variables
+    checked = 0
+    for n in range(1, 5):
+        for w in range(7):
+            for wa in range(w + 1):
+                for a in partitions_of(wa):
+                    for b in partitions_of(w - wa):
+                        p = schur_poly_of_partition(a, n) * schur_poly_of_partition(b, n)
+                        assert schur_coefficients(p, n) == expand_by_elimination(p, n), (a, b, n)
+                        checked += 1
+    assert checked > 300
+
+
+def test_sort_with_sign():
+    assert sort_with_sign((0, 2, 1)) == ((2, 1, 0), 1)
+    assert sort_with_sign((0, 1, 2)) == ((2, 1, 0), -1)
+    assert sort_with_sign((-1, 3)) == ((3, -1), -1)
+    assert sort_with_sign((1, 0, 1)) is None
+    assert sort_with_sign(()) == ((), 1)
 
 
 def test_schur_coefficient_of_too_long():
     p = schur_poly_of_partition((1,), 2)
-    assert schur_coefficient_of(p, (1, 1, 1), 2) == 0
+    assert schur_coefficients(p, 2).get((1, 1, 1), 0) == 0
 
 
 def test_expand_rejects_asymmetric():
     with pytest.raises(NotSymmetric):
-        expand_in_schur(var(2, 0), 2)
+        schur_coefficients(var(2, 0), 2)
+    with pytest.raises(LengthMismatch):
+        schur_coefficients(var(2, 0), 3)
 
 
 def test_expand_laurent_shift():
-    # s_(1,-1) expands to itself; the x1*x2 factor is pulled out and restored
-    p = schur_poly((1, -1), 2)
-    ex = expand_in_schur(p, 2)
-    assert ex.shift == -1
-    assert ex.entries == {(1, -1): 1}
+    # s_(1,-1) reads as itself, a sequence with a negative row
     with pytest.raises(ValueError):
-        ex.as_partition_dict()
+        schur_coefficients(schur_poly((1, -1), 2), 2)
+    # a Laurent input whose terms cancel down to partitions reads fine
+    p = schur_poly((1, -1), 2) * schur_poly((1, 1), 2)
+    assert schur_coefficients(p, 2) == {(2,): 1}
 
 
 def test_expand_zero():
-    ex = expand_in_schur(LaurentPoly.zero(2), 2)
-    assert ex.entries == {}
+    assert schur_coefficients(LaurentPoly.zero(2), 2) == {}
 
 
 def test_arity_zero_reads():
-    assert schur_coefficient_of(LaurentPoly.constant(0, 5), (), 0) == 5
-    assert schur_coefficient_of(LaurentPoly.constant(0, 5), (1,), 0) == 0
+    assert schur_coefficients(LaurentPoly.constant(0, 5), 0).get((), 0) == 5
+    assert schur_coefficients(LaurentPoly.constant(0, 5), 0).get((1,), 0) == 0
 
 
 @st.composite
