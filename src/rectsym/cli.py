@@ -17,6 +17,7 @@ value mismatch).
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .coefficients import (
     ArityTooSmall,
@@ -154,12 +155,7 @@ def cmd_verify(args):
     ok = all(r.ok for r in reports)
     payload = {
         "command": "verify",
-        "bounds": {
-            "max_weight": bounds.max_weight,
-            "max_box": bounds.max_box,
-            "max_k": bounds.max_k,
-            "max_image_weight": bounds.max_image_weight,
-        },
+        "bounds": asdict(bounds),
         "rules": [r.as_dict() for r in reports],
         "ok": ok,
     }

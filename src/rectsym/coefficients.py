@@ -4,7 +4,8 @@ Each family has a main path and a structurally different oracle so the two
 can be played against each other:
 
   lr         lattice-word skew tableau count
-  lr oracle  product of Schur polynomials, read with schur_coefficients
+  lr oracle  Racah-Speiser sum over the monomials of s_mu, each sorted against
+             nu + delta (no polynomial product)
   kron       exact integer character sum over the classes of S_n
   kron oracle  Jacobi-Trudi determinant of s_nu on the two-alphabet x_i y_j,
                read by sorting the x and the y exponents
@@ -16,11 +17,13 @@ can be played against each other:
                monomials of the inner Schur polynomial, read with
                schur_coefficients
 
-Every polynomial route ends in the one reader, schur.schur_coefficients (the
-Kronecker oracle in its two-alphabet form); no oracle reads a character.
+Every polynomial route ends in the one reader, schur.schur_coefficients, or
+in its sort step, schur.sort_with_sign (the Kronecker oracle in its
+two-alphabet form, the LR oracle one monomial of s_mu at a time); no oracle
+reads a character.
 
-Kostka-Foulkes lives in hall_littlewood: charge, with Hall-Littlewood
-elimination as its oracle.
+Kostka-Foulkes lives in hall_littlewood: charge, with the unitriangular
+solve of s_lam = sum K_(lam,rho)(t) P_rho in the Schur basis as its oracle.
 """
 
 from functools import lru_cache
@@ -107,18 +110,13 @@ def lr_coefficient(lam, mu, nu):
     return place(0)
 
 
-@lru_cache(maxsize=None)
-def _schur_product(lam, mu, n):
-    """Schur coefficients of s_lam * s_mu in n variables."""
-    return schur_coefficients(
-        schur_poly_of_partition(lam, n) * schur_poly_of_partition(mu, n), n
-    )
-
-
 def lr_coefficient_oracle(lam, mu, nu):
-    """Multiplicity of s_nu in s_lam * s_mu, read off the product of Schur
-    polynomials at arity length(nu).  Each index must be a partition
-    (trailing zeros allowed), else ValueError."""
+    """Multiplicity of s_nu in s_lam * s_mu by the Racah-Speiser sum at
+    arity n = length(nu): a_delta s_lam s_mu = sum_alpha K_(mu,alpha)
+    a_(lam+delta+alpha) over the monomials x^alpha of s_mu, so each alpha
+    adds sign * K_(mu,alpha) when lam + delta + alpha sorts to nu + delta.
+    Each index must be a partition (trailing zeros allowed), else
+    ValueError."""
     lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
     if sum(lam) + sum(mu) != sum(nu):
         return 0
@@ -127,7 +125,15 @@ def lr_coefficient_oracle(lam, mu, nu):
     n = len(nu)
     if len(lam) > n or len(mu) > n:
         return 0
-    return _schur_product(lam, mu, n).get(nu, 0)
+    d = delta(n)
+    base = tuple(map(add, zero_pad(lam, n), d))
+    target = tuple(map(add, nu, d))
+    total = 0
+    for alpha, kostka in schur_poly_of_partition(mu, n).terms.items():
+        hit = sort_with_sign(map(add, base, alpha))
+        if hit is not None and hit[0] == target:
+            total += hit[1] * kostka
+    return total
 
 
 # ---------------------------------------------------------------------------

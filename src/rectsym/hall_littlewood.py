@@ -2,17 +2,20 @@
 
 The engine, kostka_foulkes, is the Lascoux-Schutzenberger charge generating
 function: K_(lam,mu)(t) sums t^charge over the semistandard tableaux of shape
-lam and content mu.  Its oracle, kostka_foulkes_oracle, expands s_lam in the
-Hall-Littlewood basis by elimination on leading monomials.
+lam and content mu.  Its oracle, kostka_foulkes_oracle, enumerates no
+tableaux: it solves s_lam = sum_rho K_(lam,rho)(t) P_rho for K from the Schur
+expansions of the P_rho, which are unitriangular in dominance order
+(Macdonald, Symmetric Functions and Hall Polynomials, III.2).
 
 P_mu(x; t) is the symmetrization of x^mu prod_{i<j} (x_i - t x_j)/(x_i - x_j),
 normalized by v_mu(t) so the leading coefficient is 1.  Rather than summing
-n! rational terms, multiply out T = x^mu prod (x_i - t x_j) once, antisymmetrize
-monomial by monomial with schur.sort_with_sign (each exponent sorted
-decreasingly with its sign, repeats dropped), and divide the resulting
-alternant sum by the delta alternant, which turns each strictly decreasing
-exponent beta into the Schur polynomial of beta - delta.
-One exact division by v_mu(t) at the end and no fraction ever appears.
+n! rational terms, multiply out T = x^mu prod (x_i - t x_j) once and
+antisymmetrize it monomial by monomial with schur.sort_with_sign (each
+exponent sorted decreasingly with its sign, repeats dropped).  Divided by the
+delta alternant, each strictly decreasing exponent beta becomes the Schur
+polynomial of beta - delta, so the sum is P_mu's Schur expansion times
+v_mu(t); hl_schur divides each coefficient exactly by v_mu(t) and no
+fraction ever appears.  hl_poly sums the Schur polynomials.
 
 The normalization v_mu counts multiplicities in mu padded with zeros to the
 full arity, zeros included; that convention is what makes P well behaved
@@ -20,16 +23,18 @@ under inverting the variables.
 """
 
 from functools import lru_cache
+from operator import add, sub
 
-from .partitions import complement, is_weakly_decreasing, iter_ssyt, to_partition, zero_pad
-from .polyring import LaurentPoly, TPoly, t_factorial
-from .schur import (
-    NotSymmetric,
-    delta,
-    schur_poly,
-    schur_poly_of_partition,
-    sort_with_sign,
+from .partitions import (
+    complement,
+    is_weakly_decreasing,
+    iter_ssyt,
+    partitions_of,
+    to_partition,
+    zero_pad,
 )
+from .polyring import LaurentPoly, TPoly, t_factorial
+from .schur import delta, schur_poly, sort_with_sign
 
 
 @lru_cache(maxsize=None)
@@ -61,97 +66,78 @@ def v_poly(mu, n):
 
 
 @lru_cache(maxsize=None)
-def hl_poly(mu, n):
-    """Hall-Littlewood P_mu in n variables, coefficients in Z[t].
+def hl_schur(mu, n):
+    """Schur expansion of the Hall-Littlewood P_mu in n variables: a dict
+    from length-n weakly decreasing sequences to TPoly coefficients.
 
     mu may be any weakly decreasing integer sequence of length up to n;
     shorter ones are padded with zeros (so they must be nonnegative).
     """
-    mu = tuple(mu)
     if not is_weakly_decreasing(mu):
         raise ValueError(f"{mu} is not weakly decreasing")
     if len(mu) < n and mu and mu[-1] < 0:
         raise ValueError(f"pad {mu} to length {n} explicitly")
     padded = zero_pad(mu, n)
-    if n == 0:
-        return LaurentPoly.constant(0, TPoly.const(1))
-    T = t_vandermonde(n).shift(padded)
     acc = {}
-    for e, c in T.terms.items():
-        hit = sort_with_sign(e)
+    for e, c in t_vandermonde(n).terms.items():
+        hit = sort_with_sign(map(add, e, padded))
         if hit is None:
             continue
         beta, sign = hit
-        signed = c if sign > 0 else -c
-        prev = acc.get(beta)
-        s = signed if prev is None else prev + signed
-        if s:
-            acc[beta] = s
-        elif beta in acc:
-            del acc[beta]
+        acc[beta] = acc.get(beta, TPoly()) + (c if sign > 0 else -c)
+    v_mu = v_poly(padded, n)
     d = delta(n)
+    # the Schur expansion of P_mu is integral, so v_mu divides every entry
+    return {
+        tuple(map(sub, beta, d)): c.exact_div(v_mu) for beta, c in acc.items() if c
+    }
+
+
+def hl_poly(mu, n):
+    """Hall-Littlewood P_mu in n variables, coefficients in Z[t]: the sum of
+    its Schur expansion, hl_schur(mu, n), which says what mu may be."""
     total = {}
-    for beta, c in acc.items():
-        shape = tuple(b - dd for b, dd in zip(beta, d))
+    for shape, c in hl_schur(tuple(mu), n).items():
         for e, w in schur_poly(shape, n).terms.items():
             v = total.get(e, 0) + c * w
             if v:
                 total[e] = v
             elif e in total:
                 del total[e]
-    v_mu = v_poly(mu, n)
     out = LaurentPoly(n)
-    out.terms = {e: c.exact_div(v_mu) for e, c in total.items()}
+    out.terms = total
     return out
 
 
 # ---------------------------------------------------------------------------
-# expansion and Kostka-Foulkes
-
-
-def expand_in_hl(p, n, check=True):
-    """Write a symmetric polynomial as a Z[t] combination of P_mu by
-    elimination on lex-leading monomials.  Returns (shift, entries) where
-    entries maps length-n sequences (shift already folded in) to TPoly."""
-    if p.arity != n:
-        raise ValueError(f"arity {p.arity} vs {n}")
-    if check and not p.is_symmetric():
-        raise NotSymmetric("input is not symmetric")
-    if not p:
-        return 0, {}
-    shift = min(p.min_exponents()) if n else 0
-    work = p.shift((-shift,) * n) if shift else p
-    entries = {}
-    while work:
-        e = work.leading_monomial()
-        if not is_weakly_decreasing(e):
-            raise NotSymmetric(f"leading monomial {e} is not dominant")
-        c = work.terms[e]
-        if isinstance(c, int):
-            c = TPoly.const(c)
-        entries[tuple(x + shift for x in e)] = c
-        work = work - hl_poly(to_partition(e), n).scale(c)
-    return shift, entries
-
-
-@lru_cache(maxsize=None)
-def _schur_in_hl(lam, n):
-    # shift is already folded back into the keys, which stay nonnegative here
-    _, entries = expand_in_hl(schur_poly_of_partition(lam, n), n, check=False)
-    return {to_partition(key): c for key, c in entries.items()}
+# Kostka-Foulkes by unitriangularity
 
 
 def kostka_foulkes_oracle(lam, mu):
-    """K_(lam,mu)(t) as a TPoly by expanding s_lam in the Hall-Littlewood
-    basis; zero when the weights differ.  Each index must be a partition
-    (trailing zeros allowed), else ValueError."""
+    """K_(lam,mu)(t) as a TPoly, solved from s_lam = sum_rho K_(lam,rho)
+    P_rho in the Schur basis; zero when the weights differ.  Each index must
+    be a partition (trailing zeros allowed), else ValueError.
+
+    P_rho is s_rho plus Schur terms strictly below rho in dominance, so
+    walking the partitions rho in lex-descending order (which extends
+    dominance), K_(lam,rho) is what is left of s_rho's coefficient once the
+    P of every earlier rho has been subtracted.
+    """
     lam, mu = to_partition(lam), to_partition(mu)
     if sum(lam) != sum(mu):
         return TPoly()
-    if not lam:
-        return TPoly.const(1)
     n = max(len(lam), len(mu))
-    return _schur_in_hl(lam, n).get(mu, TPoly())
+    target = zero_pad(mu, n)
+    rest = {zero_pad(lam, n): TPoly.const(1)}
+    for rho in partitions_of(sum(lam), n):
+        rho = zero_pad(rho, n)
+        if rho == target:
+            break
+        k = rest.get(rho)
+        if k:
+            for shape, c in hl_schur(rho, n).items():
+                rest[shape] = rest.get(shape, TPoly()) - k * c
+    return rest.get(target, TPoly())
 
 
 # ---------------------------------------------------------------------------

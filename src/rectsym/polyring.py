@@ -207,10 +207,6 @@ class LaurentPoly:
         e[i] = power
         return LaurentPoly(arity, {tuple(e): 1})
 
-    @staticmethod
-    def monomial(exponents, c=1):
-        return LaurentPoly(len(exponents), {tuple(exponents): c})
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -318,18 +314,6 @@ class LaurentPoly:
 
     def coefficient(self, exponents):
         return self.terms.get(tuple(exponents), 0)
-
-    def leading_monomial(self):
-        """Lex-greatest exponent tuple (x1 beats x2 beats ...)."""
-        if not self.terms:
-            raise ZeroPolynomial("zero polynomial has no leading monomial")
-        return max(self.terms)
-
-    def min_exponents(self):
-        lows = [0] * self.arity
-        for i in range(self.arity):
-            lows[i] = min(e[i] for e in self.terms)
-        return tuple(lows)
 
     def is_symmetric(self):
         """Invariance under the n-1 adjacent transpositions."""

@@ -27,7 +27,7 @@ Rule names and what they transform:
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .coefficients import kronecker_coefficient, lr_coefficient, plethysm_coefficient
 from .hall_littlewood import kostka_foulkes
@@ -299,13 +299,18 @@ class SweepBounds:
     amount.  max_image_weight caps the weight of the image coefficient, and
     is consulted only by the plethysm rules, whose images otherwise grow far
     beyond what exact verification can afford; capped-out instances are
-    counted as skipped.
+    counted as skipped.  A negative field raises ValueError.
     """
 
     max_weight: int = 6
     max_box: int = 3
     max_k: int = 2
     max_image_weight: int = 24
+
+    def __post_init__(self):
+        for name, value in asdict(self).items():
+            if value < 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
 
 
 class SweepContext:
@@ -802,8 +807,11 @@ def bench_reduction(family, indices, repeats=3):
 
     Fresh caches for every run, so the comparison is between cold paths.  The
     two values must agree; a reduction that changed the answer would be a bug,
-    not a speedup, and raises immediately.
+    not a speedup, and raises immediately.  repeats must be at least 1, else
+    ValueError.
     """
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     indices = tuple(to_partition(p) for p in indices)
     # planning first rejects a family without a planner before any timing
     report = reduce_indices(family, indices)

@@ -151,6 +151,14 @@ def test_verify_rejects_jobs_below_one(capsys, jobs):
     assert "jobs" in err
 
 
+@pytest.mark.parametrize("flag", ["--max-weight", "--max-k", "--max-image-weight"])
+def test_verify_rejects_negative_bounds(capsys, flag):
+    code, out, err = run(capsys, "verify", "all", flag, "-1")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert flag[2:].replace("-", "_") in err
+
+
 def test_verify_jobs_clamped_to_cpu_count(capsys, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was created")
@@ -252,6 +260,19 @@ def test_bench(capsys):
     assert code == EXIT_OK
     assert "value:" in out
     assert "naive median:" in out
+
+
+@pytest.mark.parametrize("repeats", ["0", "-1"])
+def test_bench_rejects_repeats_below_one(capsys, repeats):
+    code, out, err = run(
+        capsys,
+        "bench", "kronecker",
+        "--lambda", "2,1", "--mu", "2,1", "--nu", "2,1",
+        "--repeats", repeats,
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "repeats" in err
 
 
 def test_apply_text(capsys):

@@ -95,9 +95,9 @@ def _inside(nu, w):
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_lr_lattice_words_match_schur_product_past_criterion_2(data):
-    # |nu| <= 14 with at most three rows; lam and mu drawn inside nu
+    # |nu| <= 14 with at most six rows; lam and mu drawn inside nu
     w = data.draw(st.integers(0, 14))
-    nu = data.draw(st.sampled_from([p for p in partitions_of(w) if len(p) <= 3]))
+    nu = data.draw(st.sampled_from(partitions_of(w, 6)))
     a = data.draw(st.integers(0, w))
     lam = data.draw(st.sampled_from(_inside(nu, a)))
     mu = data.draw(st.sampled_from(_inside(nu, w - a)))

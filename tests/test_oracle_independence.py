@@ -42,7 +42,6 @@ def test_kronecker_oracle_reads_no_characters(monkeypatch):
 
 def test_lr_oracle_counts_no_lattice_words(monkeypatch):
     _break(monkeypatch, [(coefficients, "lr_coefficient")])
-    coefficients._schur_product.cache_clear()
     pins = [
         ((2, 1), (2, 1), (3, 2, 1), 2),
         ((3, 2, 1), (2, 1), (4, 3, 2), 2),
@@ -77,11 +76,16 @@ def test_plethysm_oracle_reads_no_characters(monkeypatch):
 
 
 def test_kostka_foulkes_oracle_takes_no_charge(monkeypatch):
+    # no charge and no tableaux: the oracle never enumerates a filling
     _break(
         monkeypatch,
-        [(hall_littlewood, "charge"), (hall_littlewood, "kostka_foulkes")],
+        [
+            (hall_littlewood, "charge"),
+            (hall_littlewood, "kostka_foulkes"),
+            (hall_littlewood, "iter_ssyt"),
+        ],
     )
-    hall_littlewood._schur_in_hl.cache_clear()
+    hall_littlewood.hl_schur.cache_clear()
     pins = [
         ((2, 1), (1, 1, 1), (0, 1, 1)),
         ((3, 1), (2, 2), (0, 1)),

@@ -131,11 +131,6 @@ def test_laurent_shift_and_frobenius():
     assert p.frobenius(3).terms == {(3, 0): 1, (0, 3): 1}
 
 
-def test_laurent_min_exponents():
-    p = LaurentPoly(2, {(2, -1): 1, (-3, 4): 2})
-    assert p.min_exponents() == (-3, -1)
-
-
 def test_laurent_is_symmetric():
     x, y = xvar(2, 0), xvar(2, 1)
     assert (x + y).is_symmetric()

@@ -36,7 +36,7 @@ def expand_by_elimination(p, n):
     until nothing is left.  Polynomial (not Laurent) symmetric input only."""
     out = {}
     while p:
-        e = p.leading_monomial()
+        e = max(p.terms)
         c = p.terms[e]
         out[to_partition(e)] = c
         p = p - schur_poly_of_partition(to_partition(e), n).scale(c)

@@ -340,3 +340,16 @@ def test_bench_reduction():
     for family in ("lr", "nope"):
         with pytest.raises(ValueError):
             bench_reduction(family, ((1,), (1,), (2,)), repeats=1)
+
+
+@pytest.mark.parametrize("repeats", [0, -1])
+def test_bench_reduction_rejects_repeats_below_one(repeats):
+    with pytest.raises(ValueError, match="repeats"):
+        bench_reduction("kronecker", ((2, 1), (2, 1), (2, 1)), repeats=repeats)
+
+
+@pytest.mark.parametrize("field", ["max_weight", "max_box", "max_k", "max_image_weight"])
+def test_sweep_bounds_reject_negative_fields(field):
+    with pytest.raises(ValueError, match=field):
+        SweepBounds(**{field: -1})
+    assert getattr(SweepBounds(**{field: 0}), field) == 0
