@@ -29,6 +29,7 @@ from .hall_littlewood import kostka_foulkes_oracle
 from .partitions import LengthExceedsBox, format_partition, parse_partition
 from .powersum import WeightMismatch
 from .symmetries import (
+    BOX_PARAMS,
     FAMILY_KEY,
     RULE_NAMES,
     PreconditionViolated,
@@ -78,12 +79,7 @@ def _compute_value(family, lam, mu, nu, method, box):
     if family == "lr":
         return lr_coefficient_oracle(lam, mu, nu)
     if family == "kronecker":
-        if box:
-            if len(box) < 2:
-                raise ValueError("--box needs two alphabet sizes l,m")
-            l, m = box[0], box[1]
-        else:
-            l, m = max(1, len(lam)), max(1, len(mu))
+        l, m = box or (max(1, len(lam)), max(1, len(mu)))
         return kronecker_oracle(lam, mu, nu, l, m)
     if family == "plethysm":
         return plethysm_oracle(lam, mu, nu)
@@ -101,7 +97,13 @@ def cmd_compute(args):
         if args.nu is not None:
             raise ValueError("compute kostka-foulkes takes --lambda and --mu only")
         nu = None
-    box = _parse_box_list(args.box) if args.box else None
+    box = None
+    if args.box:
+        if args.family != "kronecker":
+            raise ValueError("--box bounds the Kronecker oracle's rows; kronecker only")
+        box = _parse_box_list(args.box)
+        if len(box) != 2:
+            raise ValueError(f"--box needs two row bounds l,m, got {args.box!r}")
 
     value = _compute_value(args.family, lam, mu, nu, args.method, box)
     payload = {
@@ -285,11 +287,18 @@ def cmd_apply(args):
         indices = (lam, mu, parse_partition(args.nu))
     params = {"l": args.l, "m": args.m, "n": args.n, "k": args.k}
     if args.box:
-        if any(params[name] is not None for name in ("l", "m", "n")):
-            raise ValueError("give either --box or individual --l/--m/--n, not both")
+        names = BOX_PARAMS.get(args.rule)
+        if names is None:
+            raise ValueError(f"{args.rule} is a translation rule; --box is for box rules")
+        if any(value is not None for value in params.values()):
+            raise ValueError("give either --box or individual --l/--m/--n/--k, not both")
         box = _parse_box_list(args.box)
-        for name, value in zip(("l", "m", "n"), box):
-            params[name] = value
+        if len(box) != len(names):
+            raise ValueError(
+                f"--box for {args.rule} needs {len(names)} values"
+                f" {','.join(names)}, got {args.box!r}"
+            )
+        params.update(zip(names, box))
     outcome = apply_rule(args.rule, indices, **params)
     payload = {
         "command": "apply",
@@ -332,7 +341,7 @@ def build_parser():
     _add_partition_flags(p)
     p.add_argument("--method", choices=("main", "oracle"), default="main")
     p.add_argument("--check", action="store_true", help="run both methods, compare")
-    p.add_argument("--box", metavar="L,M", help="oracle alphabet sizes (kronecker)")
+    p.add_argument("--box", metavar="L,M", help="oracle row bounds (kronecker)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_compute)
 
@@ -373,7 +382,12 @@ def build_parser():
     p = sub.add_parser("apply", help="one symmetry rule on explicit indices")
     p.add_argument("rule")
     _add_partition_flags(p)
-    p.add_argument("--box", metavar="L,M,N", help="fills --l/--m/--n in order")
+    p.add_argument(
+        "--box",
+        metavar="DIMS",
+        help="a box rule's dimensions in order: l,m,n (lr-box, kron-box),"
+        " m,n (pleth-box-inner), l,n (pleth-box-outer), k,n (kf-box)",
+    )
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=None)

@@ -7,8 +7,9 @@ can be played against each other:
   lr oracle  Racah-Speiser sum over the monomials of s_mu, each sorted against
              nu + delta (no polynomial product)
   kron       exact integer character sum over the classes of S_n
-  kron oracle  Jacobi-Trudi determinant of s_nu on the two-alphabet x_i y_j,
-               read by sorting the x and the y exponents
+  kron oracle  Garsia-Remmel sum: Jacobi-Trudi on s_lam in the h basis, each
+               <h_alpha * s_mu, s_nu> a dynamic program over pairs of
+               sub-partitions of (mu, nu) weighted by lattice-word LR counts
   pleth      length(nu) <= 3: integer character sum of s_lam[s_mu] in
              length(nu) variables, read with schur_coefficients; longer nu:
              plethysm on the power sum basis (each route is the faster one
@@ -18,8 +19,8 @@ can be played against each other:
                schur_coefficients
 
 Every polynomial route ends in the one reader, schur.schur_coefficients, or
-in its sort step, schur.sort_with_sign (the Kronecker oracle in its
-two-alphabet form, the LR oracle one monomial of s_mu at a time); no oracle
+in its sort step, schur.sort_with_sign (the LR oracle one monomial of s_mu at
+a time); the Kronecker oracle evaluates no polynomial at all.  No oracle
 reads a character.
 
 Kostka-Foulkes lives in hall_littlewood: charge, with the unitriangular
@@ -28,7 +29,7 @@ solve of s_lam = sum K_(lam,rho)(t) P_rho in the Schur basis as its oracle.
 
 from functools import lru_cache
 from math import factorial
-from operator import add, mul, sub
+from operator import add, mul
 
 from .partitions import (
     conjugate,
@@ -203,53 +204,140 @@ def kronecker_coefficient(lam, mu, nu, cache=None):
     return g
 
 
-def _bialphabet_schur(nu, l, m):
-    """s_nu evaluated on the product alphabet x_i y_j, arity l + m."""
-    xy = LaurentPoly(l + m)
-    for i in range(l):
-        for j in range(m):
-            e = [0] * (l + m)
-            e[i] = 1
-            e[l + j] = 1
-            xy.terms[tuple(e)] = 1
-    return _jacobi_trudi_at(nu, xy)
+class _GarsiaRemmel:
+    """Kronecker coefficients g(lam, mu, nu) at one nu, from LR counts only
+    (A. Garsia, J. Remmel, Shuffles of permutations and the Kronecker
+    product, Graphs Combin. 1 (1985)).
+
+    Jacobi-Trudi gives s_lam = sum_w sgn(w) h_alpha(w) with alpha(w) =
+    w(lam + delta) - delta, so g = sum_w sgn(w) <h_alpha(w) * s_mu, s_nu>.
+    For alpha = (a_1, .., a_k), <h_alpha * s_mu, s_nu> is the sum over
+    beta^i |- a_i of c^mu_(beta^1..beta^k) c^nu_(beta^1..beta^k).  That sum
+    is built one part at a time over pairs (mu' <= mu, nu' <= nu): a part a
+    moves (mu', nu') to (mu'', nu'') with weight sum_(beta |- a)
+    c^mu''_(mu' beta) c^nu''_(nu' beta), each count from lr_coefficient.
+    The memos live as long as the instance: one oracle call or one table
+    fill.
+    """
+
+    def __init__(self, nu):
+        self.nu = nu
+        self.expansions = {}  # lam -> {alpha: signed count}
+        self.skews = {}  # (inner, outer) -> {beta: c^outer_(inner, beta)}
+        self.layers = {}  # (alpha prefix, mu) -> {(mu', nu'): weight}
+
+    def __call__(self, lam, mu):
+        # g(lam, mu, nu) = g(lam', mu', nu); expand the shorter of lam, lam'
+        conj = conjugate(lam)
+        if len(conj) < len(lam):
+            lam, mu = conj, conjugate(mu)
+        total = 0
+        for alpha, c in self._expansion(lam).items():
+            total += c * self._layer(alpha, mu).get((mu, self.nu), 0)
+        return total
+
+    def _expansion(self, lam):
+        """s_lam = sum_alpha c_alpha h_alpha, keyed by the nonzero parts of
+        alpha, sorted decreasingly."""
+        out = self.expansions.get(lam)
+        if out is not None:
+            return out
+        acc = {}
+
+        def expand(i, cols, parts, sign):
+            if i == len(lam):
+                key = tuple(sorted(parts, reverse=True))
+                acc[key] = acc.get(key, 0) + sign
+                return
+            for idx, j in enumerate(cols):
+                a = lam[i] - i + j
+                if a >= 0:
+                    rest = cols[:idx] + cols[idx + 1 :]
+                    more = parts + (a,) if a else parts
+                    expand(i + 1, rest, more, -sign if idx & 1 else sign)
+
+        expand(0, tuple(range(len(lam))), (), 1)
+        out = self.expansions[lam] = {alpha: c for alpha, c in acc.items() if c}
+        return out
+
+    def _layer(self, prefix, mu):
+        """Weights of the pairs (mu', nu') reached after the parts in prefix."""
+        key = (prefix, mu)
+        out = self.layers.get(key)
+        if out is not None:
+            return out
+        if not prefix:
+            out = {((), ()): 1}
+        else:
+            size = sum(prefix)
+            a = prefix[-1]
+            outs_mu = _subpartitions(mu, size)
+            outs_nu = _subpartitions(self.nu, size)
+            out = {}
+            for (m1, n1), w in self._layer(prefix[:-1], mu).items():
+                for m2 in outs_mu:
+                    left = self._skew(m1, m2, a)
+                    if not left:
+                        continue
+                    for n2 in outs_nu:
+                        right = self._skew(n1, n2, a)
+                        step = sum(c * right.get(beta, 0) for beta, c in left.items())
+                        if step:
+                            out[(m2, n2)] = out.get((m2, n2), 0) + w * step
+        self.layers[key] = out
+        return out
+
+    def _skew(self, inner, outer, a):
+        """{beta: c^outer_(inner, beta)} over the partitions beta of a."""
+        key = (inner, outer)
+        out = self.skews.get(key)
+        if out is None:
+            out = {}
+            if contains(outer, inner):
+                for beta in _subpartitions(outer, a):
+                    c = lr_coefficient(inner, beta, outer)
+                    if c:
+                        out[beta] = c
+            self.skews[key] = out
+        return out
+
+
+def _subpartitions(outer, size):
+    """Partitions of size whose diagrams lie inside the nonempty outer."""
+    return tuple(
+        p for p in partitions_of(size, len(outer), outer[0]) if contains(outer, p)
+    )
 
 
 def kronecker_oracle_table(nu, l, m, cache=None):
-    """Coefficients of s_lam(x) s_mu(y) in s_nu(xy), keyed (lam, mu).
+    """Nonzero Kronecker coefficients g(lam, mu, nu) over lam with at most l
+    rows and mu with at most m rows, keyed (lam, mu).
 
-    s_nu(xy) comes from the Jacobi-Trudi determinant on the l*m letters
-    x_i y_j, and is read in one pass with a double sort: a_delta(x)
-    a_delta(y) s_nu(xy) = sum c_(alpha,beta) a_(alpha+delta)(x)
-    a_(beta+delta)(y), each factor sorted against its own staircase.  No
-    character is read, so cache (kept for callers that share one with the
-    engine) goes unused.
+    Each value is the Garsia-Remmel sum of _GarsiaRemmel, from LR counts
+    with memos shared by the whole table; l and m only bound the rows, and
+    the table is empty when length(nu) > l*m.  No character is read, so
+    cache (kept for callers that share one with the engine) goes unused.
     """
     nu = to_partition(nu)
     if len(nu) > l * m:
         return {}
-    dx, dy = delta(l), delta(m)
-    acc = {}
-    for e, c in _bialphabet_schur(nu, l, m).terms.items():
-        hx = sort_with_sign(map(add, e[:l], dx))
-        if hx is None:
-            continue
-        hy = sort_with_sign(map(add, e[l:], dy))
-        if hy is None:
-            continue
-        key = (hx[0], hy[0])
-        acc[key] = acc.get(key, 0) + hx[1] * hy[1] * c
-    return {
-        (to_partition(map(sub, bx, dx)), to_partition(map(sub, by, dy))): c
-        for (bx, by), c in acc.items()
-        if c
-    }
+    n = sum(nu)
+    oracle = _GarsiaRemmel(nu)
+    out = {}
+    for lam in partitions_of(n, l):
+        for mu in partitions_of(n, m):
+            g = oracle(lam, mu)
+            if g:
+                out[(lam, mu)] = g
+    return out
 
 
 def kronecker_oracle(lam, mu, nu, l, m, cache=None, table=None):
-    """Kronecker coefficient read from the two-alphabet expansion of s_nu;
-    cache is accepted and unused, as in kronecker_oracle_table.  Each index
-    must be a partition (trailing zeros allowed), else ValueError."""
+    """Kronecker coefficient by the Garsia-Remmel sum from LR counts, or
+    read from a kronecker_oracle_table of nu when table is given.  l and m
+    only bound the rows of lam and mu (ArityTooSmall past them); cache is
+    accepted and unused.  Each index must be a partition (trailing zeros
+    allowed), else ValueError."""
     lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
     if not (sum(lam) == sum(mu) == sum(nu)):
         return 0
@@ -257,9 +345,9 @@ def kronecker_oracle(lam, mu, nu, l, m, cache=None, table=None):
         raise ArityTooSmall(f"need l >= {len(lam)} for {lam}")
     if len(mu) > m:
         raise ArityTooSmall(f"need m >= {len(mu)} for {mu}")
-    if table is None:
-        table = kronecker_oracle_table(nu, l, m, cache)
-    return table.get((lam, mu), 0)
+    if table is not None:
+        return table.get((lam, mu), 0)
+    return _GarsiaRemmel(nu)(lam, mu)
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,12 @@ _APPLIERS = {
     "kf-translate": (_kf_translate, ("n", "k")),
 }
 
+# The parameters of each box rule, in the order the command line's --box
+# lists them; every one is a box dimension (k is kf-box's width).
+BOX_PARAMS = {
+    rule: names for rule, (_, names) in _APPLIERS.items() if "-box" in rule
+}
+
 
 def apply_rule(rule, indices, l=None, m=None, n=None, k=None):
     """Apply one named rule to an index tuple (three partitions, or two for

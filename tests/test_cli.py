@@ -328,6 +328,79 @@ def test_apply_box_conflicts_with_parts(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "rule,indices,box,named",
+    [
+        ("pleth-box-inner", ("2", "1", "2"), "1,2", ["--m", "1", "--n", "2"]),
+        ("pleth-box-outer", ("2", "1", "2"), "2,1", ["--l", "2", "--n", "1"]),
+        ("kf-box", ("2", "1,1"), "3,2", ["--k", "3", "--n", "2"]),
+        ("lr-box", ("2", "1,1", "3,1"), "2,2,3", ["--l", "2", "--m", "2", "--n", "3"]),
+        ("kron-box", ("2", "1,1", "2"), "2,3,2", ["--l", "2", "--m", "3", "--n", "2"]),
+    ],
+)
+def test_apply_box_fills_the_rules_own_parameters(capsys, rule, indices, box, named):
+    # --box lists the rule's parameters in order: m,n / l,n / k,n / l,m,n
+    flags = [f for pair in zip(("--lambda", "--mu", "--nu"), indices) for f in pair]
+    by_box = run(capsys, "apply", rule, *flags, "--box", box, "--json")
+    by_name = run(capsys, "apply", rule, *flags, *named, "--json")
+    assert by_box == by_name
+    assert by_box[0] == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "rule,box",
+    [
+        ("kron-box", "1,1,1,7"),
+        ("kron-box", "1,1"),
+        ("pleth-box-inner", "1,1,1"),
+        ("kf-box", "1"),
+    ],
+)
+def test_apply_box_needs_exactly_the_rules_parameters(capsys, rule, box):
+    indices = ["--lambda", "1", "--mu", "1"] + ([] if rule == "kf-box" else ["--nu", "1"])
+    code, out, err = run(capsys, "apply", rule, *indices, "--box", box)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--box" in err
+
+
+@pytest.mark.parametrize("rule", ["lr-translate", "kron-translate", "kf-translate"])
+def test_apply_box_rejects_translation_rules(capsys, rule):
+    indices = ["--lambda", "1", "--mu", "1"] + ([] if rule == "kf-translate" else ["--nu", "1"])
+    code, out, err = run(capsys, "apply", rule, *indices, "--box", "1,1")
+    assert code == EXIT_USAGE
+    assert "translation rule" in err
+
+
+@pytest.mark.parametrize("box", ["2,2,9", "2"])
+def test_compute_kronecker_box_needs_two_values(capsys, box):
+    code, out, err = run(
+        capsys,
+        "compute", "kronecker",
+        "--lambda", "2", "--mu", "2", "--nu", "2",
+        "--method", "oracle", "--box", box,
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--box" in err
+
+
+def test_compute_box_is_kronecker_only(capsys):
+    code, out, err = run(
+        capsys, "compute", "lr", "--lambda", "1", "--mu", "1", "--nu", "2", "--box", "2,2"
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "kronecker only" in err
+
+
+def test_compute_kronecker_box_bounds_rows(capsys):
+    argv = ["compute", "kronecker", "--lambda", "1,1", "--mu", "2", "--nu", "1,1"]
+    assert run(capsys, *argv, "--method", "oracle", "--box", "2,1") == (EXIT_OK, "1\n", "")
+    code, _, err = run(capsys, *argv, "--method", "oracle", "--box", "1,1")
+    assert code == EXIT_USAGE
+    assert "need l >= 2" in err
+
+
 def test_argparse_rejects_unknown_family(capsys):
     with pytest.raises(SystemExit) as info:
         main(["compute", "nope", "--lambda", "1", "--mu", "1", "--nu", "1"])

@@ -190,6 +190,36 @@ def test_kronecker_against_bialphabet_oracle():
                     )
 
 
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_kronecker_matches_garsia_remmel_oracle_past_criterion_2(data):
+    # weight up to 12; the oracle computes the one triple, with no table
+    w = data.draw(st.integers(0, 12))
+    lam, mu, nu = (data.draw(st.sampled_from(partitions_of(w))) for _ in range(3))
+    got = kronecker_oracle(lam, mu, nu, len(lam), len(mu))
+    assert got == kronecker_coefficient(lam, mu, nu)
+
+
+@pytest.mark.parametrize("l,m", [(2, 3), (3, 2), (1, 4)])
+def test_kronecker_oracle_table_unequal_alphabets(l, m):
+    # exactly the engine's nonzero values on lam with <= l rows and mu with
+    # <= m rows, and nothing at all when nu has more than l*m rows
+    cache = CharCache()
+    for w in range(6):
+        for nu in partitions_of(w):
+            table = kronecker_oracle_table(nu, l, m, cache)
+            if len(nu) > l * m:
+                assert table == {}, nu
+                continue
+            expect = {}
+            for lam in partitions_of(w, l):
+                for mu in partitions_of(w, m):
+                    g = kronecker_coefficient(lam, mu, nu, cache)
+                    if g:
+                        expect[(lam, mu)] = g
+            assert table == expect, nu
+
+
 def test_kronecker_oracle_arity_guard():
     try:
         kronecker_oracle((1, 1), (2,), (2,), 1, 2)
