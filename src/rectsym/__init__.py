@@ -33,8 +33,6 @@ from .powersum import (
     CharCache,
     char_row,
     class_sizes,
-    plethysm_p,
-    schur_to_p,
     zee,
 )
 from .schur import (

@@ -12,8 +12,9 @@ can be played against each other:
                sub-partitions of (mu, nu) weighted by lattice-word LR counts
   pleth      length(nu) <= 3: integer character sum of s_lam[s_mu] in
              length(nu) variables, read with schur_coefficients; longer nu:
-             plethysm on the power sum basis (each route is the faster one
-             at its arities, see POLY_MAX_ARITY)
+             integer class sum on the power sum basis over the common
+             denominator |lam|! |mu|!^|lam| (each route is the faster one at
+             its arities, see POLY_MAX_ARITY)
   pleth oracle  Jacobi-Trudi determinant over h or e evaluated on the
                monomials of the inner Schur polynomial, read with
                schur_coefficients
@@ -43,10 +44,8 @@ from .powersum import (
     CharCache,
     NonIntegralResult,
     char_row,
+    char_value,
     class_sizes,
-    plethysm_p,
-    schur_coefficient_of_p,
-    schur_to_p,
 )
 from .schur import (
     delta,
@@ -175,6 +174,52 @@ def _power_product(g, rho, products):
             out = LaurentPoly.constant(g.arity, 1)
         products[rho] = out
     return out
+
+
+def _pleth_class_sum(lam, mu, nu, cache):
+    """<s_lam[s_mu], s_nu> on the power sum basis, in integers.
+
+    With a = |lam|, b = |mu| and G = sum_sigma (b!/z_sigma) chi^mu(sigma)
+    p_sigma = b! s_mu, the sum over rho |- a of (a!/z_rho) chi^lam(rho)
+    b!^(a - length(rho)) sum_tau [p_tau](prod_i G[p_rho_i]) chi^nu(tau) is
+    a! b!^a times the coefficient, and is divided exactly; a remainder
+    raises NonIntegralResult.  The products prod_i G[p_rho_i] are memoised
+    by suffix of rho, for this call only."""
+    a, b = sum(lam), sum(mu)
+    g = [
+        (sigma, size * chi)
+        for sigma, size, chi in zip(partitions_of(b), class_sizes(b), char_row(mu, cache))
+        if chi
+    ]
+    products = {(): {(): 1}}
+
+    def product(rho):
+        out = products.get(rho)
+        if out is None:
+            k = rho[0]
+            out = {}
+            for tau, c in product(rho[1:]).items():
+                for sigma, d in g:
+                    key = tuple(sorted(tau + tuple(k * s for s in sigma), reverse=True))
+                    out[key] = out.get(key, 0) + c * d
+            products[rho] = out
+        return out
+
+    whole_b = factorial(b)
+    acc = {}
+    for rho, size, chi in zip(partitions_of(a), class_sizes(a), char_row(lam, cache)):
+        if chi:
+            w = size * chi * whole_b ** (a - len(rho))
+            for tau, c in product(rho).items():
+                acc[tau] = acc.get(tau, 0) + w * c
+    total = sum(c * char_value(nu, tau, cache) for tau, c in acc.items() if c)
+    whole = factorial(a) * whole_b**a
+    q, rem = divmod(total, whole)
+    if rem:
+        raise NonIntegralResult(
+            f"<s_{lam}[s_{mu}], s_{nu}> = {total}/({a}! {b}!^{a}), not an integer"
+        )
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -355,12 +400,14 @@ def kronecker_oracle(lam, mu, nu, l, m, cache=None, table=None):
 
 
 # Up to this many rows of nu, plethysm_coefficient evaluates s_lam[s_mu] as a
-# polynomial in length(nu) variables; longer nu go through the p basis.
-# Neither route wins everywhere (cold caches, 2 vCPUs).  The p basis alone
-# slows the sweeps of pleth-box-inner 0.15 s -> 1.04 s and of
-# pleth-translate-inner 0.19 s -> 1.09 s.  The polynomial alone slows the
-# crosscheck's plethysm calls by 39%, from products at arity 5-6, and the
-# ladder rung (4)[(4,4)] at (16,8,4,4) 0.30 s -> 0.40 s.
+# polynomial in length(nu) variables; longer nu take the integer class sum
+# _pleth_class_sum.  Neither route wins everywhere (cold caches, 2 vCPUs,
+# Python 3.11.7).  The class sum alone slows the four plethysm rules at
+# SweepBounds() 0.36 s -> 1.40 s and the five three-row pinned rungs of the
+# benchmark ladder 0.049 s -> 0.086 s.  The polynomial alone slows a cold
+# call at |nu| = 6 with five or six rows from 0.05-0.11 ms to 0.05-6.3 ms
+# (median 0.08 -> 2.7 ms), and the rung (4)[(4,4)] at (16,8,4,4)
+# 41 ms -> 146 ms.
 POLY_MAX_ARITY = 3
 
 
@@ -369,11 +416,13 @@ def plethysm_coefficient(lam, mu, nu, cache=None, powers=None, maps=None):
     (trailing zeros allowed), else ValueError.
 
     When nu has at most POLY_MAX_ARITY rows, s_lam[s_mu] is evaluated in
-    length(nu) variables and read with schur_coefficients; longer nu go
-    through the p basis.  cache is a CharCache.  powers and maps are dicts
-    that may be shared across calls: powers holds the products
-    prod_i s_mu(x^rho_i) per (mu, n), maps the Schur coefficients of the
-    evaluated plethysms keyed (lam, mu, n).
+    length(nu) variables and read with schur_coefficients; longer nu take
+    the integer class sum on the power sum basis, divided exactly by
+    |lam|! |mu|!^|lam|.  Either route raises NonIntegralResult on a
+    remainder.  cache is a CharCache.  powers and maps are dicts that may be
+    shared across calls and serve the polynomial route only: powers holds
+    the products prod_i s_mu(x^rho_i) per (mu, n), maps the Schur
+    coefficients of the evaluated plethysms keyed (lam, mu, n).
     """
     lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
     if sum(lam) * sum(mu) != sum(nu):
@@ -385,8 +434,7 @@ def plethysm_coefficient(lam, mu, nu, cache=None, powers=None, maps=None):
     if cache is None:
         cache = CharCache()
     if n > POLY_MAX_ARITY:
-        comp = plethysm_p(schur_to_p(lam, cache), schur_to_p(mu, cache))
-        return schur_coefficient_of_p(comp, nu, cache)
+        return _pleth_class_sum(lam, mu, nu, cache)
     key = (lam, mu, n)
     coeffs = maps.get(key) if maps is not None else None
     if coeffs is None:

@@ -1,4 +1,4 @@
-"""Power sum expansions, symmetric group characters and their products.
+"""Symmetric group characters and conjugacy class sizes.
 
 Characters come from the Murnaghan-Nakayama border-strip recursion on bead
 masks.  A partition lam with L rows is the int whose set bits are its beta
@@ -16,8 +16,6 @@ computations (a whole verification sweep, say); every function also works
 with a private one.
 """
 
-from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
@@ -49,21 +47,6 @@ def class_sizes(n):
     """Conjugacy class sizes n!/z_rho of S_n, aligned with partitions_of(n)."""
     total = factorial(n)
     return tuple(total // zee(rho) for rho in partitions_of(n))
-
-
-@dataclass
-class PExpansion:
-    """A symmetric function of one weight written in the p basis.
-
-    terms maps cycle types to Fraction (or int) coefficients; zero
-    coefficients are simply absent.
-    """
-
-    weight: int
-    terms: dict = field(default_factory=dict)
-
-    def coefficient(self, rho):
-        return self.terms.get(tuple(rho), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -169,65 +152,3 @@ def char_row(lam, cache=None):
     row = tuple([_chi(m, 0, rho, memos) for rho, memos in cache.plan(sum(lam))])
     cache.rows[lam] = row
     return row
-
-
-# ---------------------------------------------------------------------------
-# basis changes and products
-
-
-def schur_to_p(lam, cache=None):
-    """s_lam = sum over cycle types of chi^lam(rho)/z_rho * p_rho."""
-    lam = tuple(lam)
-    n = sum(lam)
-    row = char_row(lam, cache)
-    terms = {}
-    for rho, chi in zip(partitions_of(n), row):
-        if chi:
-            terms[rho] = Fraction(chi, zee(rho))
-    return PExpansion(n, terms)
-
-
-def schur_coefficient_of_p(expansion, lam, cache=None):
-    """Single Schur coefficient of a p expansion, with integrality check."""
-    row = char_row(tuple(lam), cache)
-    total = Fraction(0)
-    for rho, chi in zip(partitions_of(expansion.weight), row):
-        c = expansion.terms.get(rho)
-        if c and chi:
-            total += chi * c
-    if total.denominator != 1:
-        raise NonIntegralResult(f"coefficient of s_{tuple(lam)} is {total}")
-    return int(total)
-
-
-def _merge_cycle_types(r1, r2):
-    return tuple(sorted(r1 + r2, reverse=True))
-
-
-def plethysm_p(outer, inner):
-    """Plethysm on the p basis: p_k picks up every part of inner times k."""
-    result = {}
-    for rho, c in outer.terms.items():
-        prod = {(): Fraction(1)}
-        for part in rho:
-            stretched = {}
-            for sigma, d in inner.terms.items():
-                key = tuple(part * s for s in sigma)
-                stretched[key] = stretched.get(key, 0) + d
-            nxt = {}
-            for k1, c1 in prod.items():
-                for k2, c2 in stretched.items():
-                    key = _merge_cycle_types(k1, k2)
-                    w = nxt.get(key, 0) + c1 * c2
-                    if w:
-                        nxt[key] = w
-                    elif key in nxt:
-                        del nxt[key]
-            prod = nxt
-        for key, w in prod.items():
-            s = result.get(key, 0) + c * w
-            if s:
-                result[key] = s
-            elif key in result:
-                del result[key]
-    return PExpansion(outer.weight * inner.weight, result)

@@ -269,13 +269,18 @@ def apply_rule(rule, indices, l=None, m=None, n=None, k=None):
     the image tuple, or None when the rule proves the coefficient is zero.
 
     Box dimensions l, m, n must be nonnegative; translation amounts k may be
-    any integer.  Missing or out-of-hypothesis parameters raise
+    any integer.  Missing, unused or out-of-hypothesis parameters raise
     PreconditionViolated.
     """
     if rule not in _APPLIERS:
         raise ValueError(f"unknown rule {rule!r}")
     fn, names = _APPLIERS[rule]
     supplied = {"l": l, "m": m, "n": n, "k": k}
+    for name, value in supplied.items():
+        if value is not None and name not in names:
+            raise PreconditionViolated(
+                rule, f"takes no parameter {name} (its parameters are {', '.join(names)})"
+            )
     args = []
     for name in names:
         value = supplied[name]

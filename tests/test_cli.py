@@ -364,6 +364,35 @@ def test_apply_box_needs_exactly_the_rules_parameters(capsys, rule, box):
     assert "--box" in err
 
 
+@pytest.mark.parametrize(
+    "rule,indices,params,extra",
+    [
+        ("lr-box", ("2", "1,1", "3,1"), ["--l", "2", "--m", "2", "--n", "3"], "k"),
+        ("pleth-box-inner", ("2", "1", "2"), ["--m", "1", "--n", "2"], "l"),
+        ("pleth-box-outer", ("2", "1", "2"), ["--l", "2", "--n", "1"], "m"),
+        ("kf-box", ("2", "1,1"), ["--k", "3", "--n", "2"], "l"),
+        ("lr-translate", ("1", "1", "1,1"), ["--n", "2", "--k", "1"], "m"),
+        ("kron-translate", ("1", "1", "1"), ["--l", "1", "--m", "1", "--k", "1"], "n"),
+    ],
+    ids=[
+        "lr-box-k",
+        "pleth-box-inner-l",
+        "pleth-box-outer-m",
+        "kf-box-l",
+        "lr-translate-m",
+        "kron-translate-n",
+    ],
+)
+def test_apply_rejects_a_parameter_the_rule_does_not_take(
+    capsys, rule, indices, params, extra
+):
+    flags = [f for pair in zip(("--lambda", "--mu", "--nu"), indices) for f in pair]
+    assert run(capsys, "apply", rule, *flags, *params)[0] == EXIT_OK
+    code, out, err = run(capsys, "apply", rule, *flags, *params, f"--{extra}", "9")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert f"takes no parameter {extra}" in err
+
+
 @pytest.mark.parametrize("rule", ["lr-translate", "kron-translate", "kf-translate"])
 def test_apply_box_rejects_translation_rules(capsys, rule):
     indices = ["--lambda", "1", "--mu", "1"] + ([] if rule == "kf-translate" else ["--nu", "1"])
