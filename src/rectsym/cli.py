@@ -153,7 +153,24 @@ def cmd_verify(args):
         max_k=args.max_k,
         max_image_weight=args.max_image_weight,
     )
-    reports = [verify_rule(rule, bounds, jobs=args.jobs) for rule in rules]
+    if args.jobs < 1:
+        # rejected before the header: a refused run prints nothing
+        raise ValueError(f"jobs must be at least 1, got {args.jobs}")
+    # the text report streams: the header, then each rule's line as soon as
+    # that rule finishes, so a run cut short still shows its finished rules
+    if not args.json:
+        header = f"{'rule':24s} {'checked':>8s} {'transformed':>12s} {'vanished':>9s} {'skipped':>8s} {'elapsed':>9s}"
+        print(header, flush=True)
+    reports = []
+    for rule in rules:
+        r = verify_rule(rule, bounds, jobs=args.jobs)
+        reports.append(r)
+        if not args.json:
+            print(
+                f"{r.rule:24s} {r.checked:8d} {r.transformed:12d} {r.vanished:9d}"
+                f" {r.skipped:8d} {r.elapsed_s:8.2f}s",
+                flush=True,
+            )
     ok = all(r.ok for r in reports)
     payload = {
         "command": "verify",
@@ -164,13 +181,6 @@ def cmd_verify(args):
     if args.json:
         print(json.dumps(payload, indent=2))
     else:
-        header = f"{'rule':24s} {'checked':>8s} {'transformed':>12s} {'vanished':>9s} {'skipped':>8s} {'elapsed':>9s}"
-        print(header)
-        for r in reports:
-            print(
-                f"{r.rule:24s} {r.checked:8d} {r.transformed:12d} {r.vanished:9d}"
-                f" {r.skipped:8d} {r.elapsed_s:8.2f}s"
-            )
         total = sum(r.checked for r in reports)
         bad = sum(len(r.counterexamples) for r in reports)
         for r in reports:

@@ -11,7 +11,8 @@ can be played against each other:
                <h_alpha * s_mu, s_nu> a dynamic program over pairs of
                sub-partitions of (mu, nu) weighted by lattice-word LR counts
   pleth      length(nu) <= 3: integer character sum of s_lam[s_mu] in
-             length(nu) variables, read with schur_coefficients; longer nu:
+             length(nu) variables on packed-integer monomials, unpacked
+             once and read with schur_coefficients; longer nu:
              integer class sum on the power sum basis over the common
              denominator |lam|! |mu|!^|lam| (each route is the faster one at
              its arities, see POLY_MAX_ARITY)
@@ -140,38 +141,84 @@ def lr_coefficient_oracle(lam, mu, nu):
 # Schur functions evaluated at the monomials of a polynomial
 
 
+# Bits per exponent in a packed monomial: x^e becomes the int
+# sum_i e_i << (PACK_BITS * i).  On the polynomial route every exponent is
+# nonnegative and at most |nu|, so while |nu| < 2^PACK_BITS no field carries
+# into the next: a product of monomials is one int add, and g(x^k) multiplies
+# every key by k.  The width is fixed, not chosen per call, because the
+# packed products are shared by calls with different |lam| at one (mu, n).
+# Three fields fit in 60 bits, where CPython still hashes an int to itself.
+PACK_BITS = 20
+
+
+def _pack(g, degree):
+    """The terms of the polynomial g (no negative exponent) as
+    {packed monomial: coefficient}, for products of total degree at most
+    degree; ValueError when degree >= 2^PACK_BITS, where a field could
+    carry."""
+    if degree >> PACK_BITS:
+        raise ValueError(
+            f"degree {degree} needs exponent fields wider than {PACK_BITS} bits"
+        )
+    return {
+        sum(x << (PACK_BITS * i) for i, x in enumerate(e)): c
+        for e, c in g.terms.items()
+    }
+
+
+def _unpack_key(key, n):
+    """The exponent tuple of a packed monomial in n variables."""
+    mask = (1 << PACK_BITS) - 1
+    return tuple((key >> (PACK_BITS * i)) & mask for i in range(n))
+
+
 def _schur_at(lam, g, products, cache=None):
-    """s_lam evaluated at the monomials of g: the integer sum over cycle
-    types rho of (N!/z_rho) chi^lam(rho) prod_i g(x^rho_i), divided exactly
-    by N!; a remainder raises NonIntegralResult.  products caches the
-    products of g, keyed by cycle type, for this g only."""
+    """s_lam evaluated at the monomials of the polynomial g: the integer sum
+    over cycle types rho of (N!/z_rho) chi^lam(rho) prod_i g(x^rho_i),
+    divided exactly by N!; a remainder raises NonIntegralResult.  The sum
+    runs on packed monomials (_pack, ValueError past its degree bound) and
+    is unpacked once into the returned LaurentPoly.  products caches the
+    packed products of g, keyed by cycle type; it serves one g and may be
+    shared by calls with any lam."""
     N = sum(lam)
+    base = _pack(g, N * max(map(sum, g.terms), default=0))
     acc = {}
+    get = acc.get
     for rho, size, chi in zip(partitions_of(N), class_sizes(N), char_row(lam, cache)):
         if not chi:
             continue
         w = size * chi
-        for e, c in _power_product(g, rho, products).terms.items():
-            acc[e] = acc.get(e, 0) + w * c
+        for e, c in _packed_product(base, rho, products).items():
+            acc[e] = get(e, 0) + w * c
     whole = factorial(N)
     out = LaurentPoly(g.arity)
     for e, c in acc.items():
         q, rem = divmod(c, whole)
         if rem:
+            e = _unpack_key(e, g.arity)
             raise NonIntegralResult(f"s_{lam} at x^{e} is {c}/{N}!, not an integer")
         if q:
-            out.terms[e] = q
+            out.terms[_unpack_key(e, g.arity)] = q
     return out
 
 
-def _power_product(g, rho, products):
-    """prod_i g(x^rho_i), built from the product of rho[1:]."""
+def _packed_product(base, rho, products):
+    """prod_i g(x^rho_i) on packed monomials, where base is _pack(g); built
+    from the product of rho[1:] and memoised in products."""
     out = products.get(rho)
     if out is None:
+        out = {}
         if rho:
-            out = _power_product(g, rho[1:], products) * g.frobenius(rho[0])
+            rest = _packed_product(base, rho[1:], products)
+            k = rho[0]
+            get = out.get
+            for e2, c2 in base.items():
+                e2 *= k
+                for e1, c1 in rest.items():
+                    e = e1 + e2
+                    out[e] = get(e, 0) + c1 * c2
         else:
-            out = LaurentPoly.constant(g.arity, 1)
+            out[0] = 1
         products[rho] = out
     return out
 
@@ -420,9 +467,11 @@ def plethysm_coefficient(lam, mu, nu, cache=None, powers=None, maps=None):
     the integer class sum on the power sum basis, divided exactly by
     |lam|! |mu|!^|lam|.  Either route raises NonIntegralResult on a
     remainder.  cache is a CharCache.  powers and maps are dicts that may be
-    shared across calls and serve the polynomial route only: powers holds
-    the products prod_i s_mu(x^rho_i) per (mu, n), maps the Schur
-    coefficients of the evaluated plethysms keyed (lam, mu, n).
+    shared across calls and serve the polynomial route only: powers maps
+    (mu, n) to {rho: prod_i s_mu(x^rho_i)}, each product a dict from packed
+    monomial (see PACK_BITS) to coefficient, and maps holds the Schur
+    coefficients of the evaluated plethysms keyed (lam, mu, n).  The route
+    raises ValueError when |nu| >= 2^PACK_BITS.
     """
     lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
     if sum(lam) * sum(mu) != sum(nu):

@@ -306,12 +306,6 @@ class LaurentPoly:
         r.terms = {tuple(-x for x in e): c for e, c in self.terms.items()}
         return r
 
-    def frobenius(self, k):
-        """Substitute x_i^k for every x_i."""
-        r = LaurentPoly(self.arity)
-        r.terms = {tuple(k * x for x in e): c for e, c in self.terms.items()}
-        return r
-
     def coefficient(self, exponents):
         return self.terms.get(tuple(exponents), 0)
 

@@ -325,8 +325,10 @@ class SweepBounds:
 
 
 class SweepContext:
-    """Caches scoped to one sweep: character tables, inner-power products,
-    Schur coefficients of evaluated plethysms, and Kronecker values."""
+    """Caches scoped to one sweep: character tables, the plethysm engine's
+    products prod_i s_mu(x^rho_i) on packed monomials (per (mu, n), keyed
+    by rho), Schur coefficients of evaluated plethysms, and Kronecker
+    values."""
 
     def __init__(self):
         self.chars = CharCache()

@@ -1,11 +1,14 @@
 """Command-line interface: output formats and exit codes."""
 
 import concurrent.futures
+import io
 import json
 import os
+import sys
 
 import pytest
 
+from rectsym import cli
 from rectsym.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_MISMATCH,
@@ -13,7 +16,7 @@ from rectsym.cli import (
     EXIT_USAGE,
     main,
 )
-from rectsym.symmetries import coefficient_of
+from rectsym.symmetries import RULE_NAMES, RuleReport, coefficient_of
 
 
 def run(capsys, *argv):
@@ -135,6 +138,31 @@ def test_verify_all_small(capsys):
     )
     assert code == EXIT_OK
     assert out.count("\n") >= 11  # header + ten rules + summary
+
+
+def test_verify_text_streams_each_rule(monkeypatch):
+    # each rule's line is printed and flushed before the next rule starts
+    class Flushed(io.StringIO):
+        flushed = ""
+
+        def flush(self):
+            self.flushed = self.getvalue()
+
+    out = Flushed()
+    seen = []
+
+    def fake_verify_rule(rule, bounds, jobs=1):
+        seen.append(out.flushed)
+        return RuleReport(rule, checked=1)
+
+    monkeypatch.setattr(cli, "verify_rule", fake_verify_rule)
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["verify", "all"]) == EXIT_OK
+    lines = out.getvalue().splitlines(keepends=True)
+    assert len(lines) == len(RULE_NAMES) + 2  # header, ten rules, summary
+    for i, flushed in enumerate(seen):
+        assert flushed == "".join(lines[: i + 1]), RULE_NAMES[i]
+    assert lines[-1] == f"ok: {len(RULE_NAMES)} instances, 0 counterexamples\n"
 
 
 def test_verify_unknown_rule(capsys):

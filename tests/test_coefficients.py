@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rectsym.coefficients import (
+    PACK_BITS,
     ArityTooSmall,
+    _pack,
+    _unpack_key,
     kronecker_coefficient,
     kronecker_oracle,
     kronecker_oracle_table,
@@ -16,6 +19,7 @@ from rectsym.coefficients import (
     plethysm_oracle,
 )
 from rectsym.partitions import conjugate, contains, partitions_of
+from rectsym.polyring import LaurentPoly
 from rectsym.powersum import CharCache, NonIntegralResult, char_row
 
 
@@ -287,6 +291,51 @@ def test_plethysm_against_evaluation_oracle():
                         assert plethysm_coefficient(lam, mu, nu) == plethysm_oracle(
                             lam, mu, nu
                         ), (lam, mu, nu)
+
+
+def test_plethysm_shared_caches_across_outer_weights():
+    # one powers/maps pair serves calls whose lam grow in weight at the same
+    # (mu, n): the packed products cached by the first, lightest call must
+    # stay exact for the heavier ones
+    cache, powers, maps = CharCache(), {}, {}
+    for n in (1, 2, 3):
+        for mu in ((1,), (2,), (1, 1), (2, 1)):
+            if len(mu) > n:
+                continue
+            for a in range(1, 5):
+                if a * sum(mu) > 9:
+                    break
+                for lam in partitions_of(a):
+                    for nu in partitions_of(a * sum(mu), n):
+                        if len(nu) != n:
+                            continue
+                        shared = plethysm_coefficient(lam, mu, nu, cache, powers, maps)
+                        assert shared == plethysm_coefficient(lam, mu, nu), (lam, mu, nu)
+                        assert shared == plethysm_oracle(lam, mu, nu), (lam, mu, nu)
+            if (mu, n) in powers:
+                assert len({sum(rho) for rho in powers[(mu, n)]}) > 2, (mu, n)
+
+
+@pytest.mark.parametrize(
+    "lam, mu, nu, value",
+    [
+        ((2, 2, 2), (4,), (12, 8, 4), 21),
+        ((4,), (7,), (16, 8, 4), 6),
+        ((6,), (5,), (18, 8, 4), 16),
+    ],
+)
+def test_plethysm_three_row_ladder_values(lam, mu, nu, value):
+    # exponent fields reach |nu| = 18 on the packed route
+    assert plethysm_coefficient(lam, mu, nu) == value
+
+
+def test_packed_monomials_round_trip_and_refuse_carries():
+    top = (1 << PACK_BITS) - 1
+    g = LaurentPoly(3, {(top, 0, 5): 2, (0, top, 0): 1})
+    packed = _pack(g, top)
+    assert {_unpack_key(key, 3): c for key, c in packed.items()} == g.terms
+    with pytest.raises(ValueError):
+        _pack(LaurentPoly.constant(3, 1), 1 << PACK_BITS)
 
 
 @given(st.data())
