@@ -26,7 +26,6 @@ from functools import lru_cache
 from operator import add, sub
 
 from .partitions import (
-    complement,
     is_weakly_decreasing,
     iter_ssyt,
     partitions_of,
@@ -220,7 +219,7 @@ kostka_foulkes_charge = kostka_foulkes
 
 
 # ---------------------------------------------------------------------------
-# specializations and laws
+# specializations
 
 
 def specialize_t(p, value):
@@ -240,19 +239,3 @@ def monomial_symmetric_poly(mu, n):
     out = LaurentPoly(n)
     out.terms = {e: 1 for e in set(permutations(padded))}
     return out
-
-
-def check_hl_translation_law(mu, n, k):
-    """P_(mu+(k^n)) == (x1...xn)^k P_mu."""
-    padded = zero_pad(tuple(mu), n)
-    lhs = hl_poly(tuple(a + k for a in padded), n)
-    rhs = hl_poly(padded, n).shift((k,) * n)
-    return lhs == rhs
-
-
-def check_hl_inversion_law(mu, n):
-    """P_mu(1/x; t) == P_(complement of mu in the 0 x n box)."""
-    padded = zero_pad(tuple(mu), n)
-    lhs = hl_poly(padded, n).invert_variables()
-    rhs = hl_poly(complement(padded, 0, n), n)
-    return lhs == rhs

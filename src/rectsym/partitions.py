@@ -127,9 +127,12 @@ def add_to_first_rows(p, k, n):
 def translated_partition(p, k, n):
     """p + (k^n) when that is a partition, else None."""
     raw = add_to_first_rows(p, k, n)
-    if is_weakly_decreasing(raw) and (not raw or raw[-1] >= 0):
-        return to_partition(raw)
-    return None
+    if not is_weakly_decreasing(raw) or (raw and raw[-1] < 0):
+        return None
+    end = len(raw)
+    while end and raw[end - 1] == 0:
+        end -= 1
+    return raw[:end]
 
 
 # ---------------------------------------------------------------------------

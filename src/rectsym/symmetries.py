@@ -263,6 +263,14 @@ BOX_PARAMS = {
 }
 
 
+def _apply(rule, indices, params):
+    """The image of partitions under a rule with in-range parameters (a dict
+    by parameter name): the transformed tuple, or None when the coefficient
+    is zero.  The applier's hypothesis checks still run."""
+    fn, _ = _APPLIERS[rule]
+    return fn(indices, **params)
+
+
 def apply_rule(rule, indices, l=None, m=None, n=None, k=None):
     """Apply one named rule to an index tuple (three partitions, or two for
     the Kostka-Foulkes rules).  Returns an Outcome whose transformed field is
@@ -274,14 +282,14 @@ def apply_rule(rule, indices, l=None, m=None, n=None, k=None):
     """
     if rule not in _APPLIERS:
         raise ValueError(f"unknown rule {rule!r}")
-    fn, names = _APPLIERS[rule]
+    _, names = _APPLIERS[rule]
     supplied = {"l": l, "m": m, "n": n, "k": k}
     for name, value in supplied.items():
         if value is not None and name not in names:
             raise PreconditionViolated(
                 rule, f"takes no parameter {name} (its parameters are {', '.join(names)})"
             )
-    args = []
+    params = {}
     for name in names:
         value = supplied[name]
         _require(value is not None, rule, f"parameter {name} is required")
@@ -289,12 +297,12 @@ def apply_rule(rule, indices, l=None, m=None, n=None, k=None):
         if name != "k" or rule in ("kf-box",):
             # k doubles as a box width for kf-box; every box width is >= 0
             _require(value >= 0, rule, f"parameter {name} must be nonnegative")
-        args.append(value)
+        params[name] = value
     want = 2 if FAMILY_OF[rule] == "kf" else 3
     if len(indices) != want:
         raise ValueError(f"{rule} acts on {want} partitions, got {len(indices)}")
     indices = tuple(to_partition(p) for p in indices)
-    return Outcome(rule, tuple(zip(names, args)), fn(indices, *args))
+    return Outcome(rule, tuple(params.items()), _apply(rule, indices, params))
 
 
 # ---------------------------------------------------------------------------
@@ -327,39 +335,57 @@ class SweepBounds:
 class SweepContext:
     """Caches scoped to one sweep: character tables, the plethysm engine's
     products prod_i s_mu(x^rho_i) on packed monomials (per (mu, n), keyed
-    by rho), Schur coefficients of evaluated plethysms, and Kronecker
-    values."""
+    by rho), Schur coefficients of evaluated plethysms, and three value
+    memos.  kron is keyed by the sorted triple, lr by the ordered triple
+    (lam, mu, nu) and kf by the ordered pair (lam, mu); no key uses any of
+    the rules the sweeps check.
+
+    coefficient_of validates its indices before it reads or writes these.
+    The sweeps skip that step: they generate their instances as partitions
+    with in-range parameters, so they call the appliers and _value
+    directly."""
 
     def __init__(self):
         self.chars = CharCache()
         self.powers = {}
         self.maps = {}
         self.kron = {}
+        self.lr = {}
+        self.kf = {}
 
 
-def _kron_value(lam, mu, nu, ctx):
-    key = tuple(sorted((lam, mu, nu)))
-    value = ctx.kron.get(key)
+def _value(family, indices, ctx):
+    """Coefficient value of indices that are already partitions, through
+    ctx's memos; a miss calls the family's engine."""
+    if family == "kron":
+        key = tuple(sorted(indices))
+        value = ctx.kron.get(key)
+        if value is None:
+            value = ctx.kron[key] = kronecker_coefficient(*indices, ctx.chars)
+        return value
+    if family == "pleth":
+        return plethysm_coefficient(*indices, ctx.chars, ctx.powers, ctx.maps)
+    if family == "lr":
+        memo, engine = ctx.lr, lr_coefficient
+    elif family == "kf":
+        memo, engine = ctx.kf, kostka_foulkes
+    else:
+        raise ValueError(f"unknown family {family!r}")
+    value = memo.get(indices)
     if value is None:
-        value = kronecker_coefficient(lam, mu, nu, ctx.chars)
-        ctx.kron[key] = value
+        value = memo[indices] = engine(*indices)
     return value
 
 
 def coefficient_of(family, indices, ctx=None):
-    """Coefficient value for one family; the common entry point used by the
-    sweeps, the reduction checks and the command line."""
-    if family == "lr":
-        return lr_coefficient(*indices)
-    if family == "kf":
-        return kostka_foulkes(*indices)
+    """Coefficient value for one family ("lr", "kron", "pleth" or "kf"); the
+    entry point the command line uses.  Every index is checked to be a
+    partition (trailing zeros allowed, else ValueError) before ctx is read
+    or written; a call without ctx gets a private one."""
+    indices = tuple(to_partition(p) for p in indices)
     if ctx is None:
         ctx = SweepContext()
-    if family == "kron":
-        return _kron_value(*indices, ctx)
-    if family == "pleth":
-        return plethysm_coefficient(*indices, ctx.chars, ctx.powers, ctx.maps)
-    raise ValueError(f"unknown family {family!r}")
+    return _value(family, indices, ctx)
 
 
 @dataclass
@@ -514,15 +540,17 @@ def _json_value(value):
 
 
 def _check_one(rule, family, indices, params, report, ctx):
-    """Check one instance into report; False when it is a counterexample."""
-    outcome = apply_rule(rule, indices, **params)
-    left = coefficient_of(family, indices, ctx)
-    if outcome.vanishes:
+    """Check one instance into report; False when it is a counterexample.
+    _instances builds indices from partitions_of and params in range, so
+    neither is validated again here."""
+    image = _apply(rule, indices, params)
+    left = _value(family, indices, ctx)
+    if image is None:
         report.vanished += 1
         right = 0
     else:
         report.transformed += 1
-        right = coefficient_of(family, outcome.transformed, ctx)
+        right = _value(family, image, ctx)
     report.checked += 1
     if left != right:
         report.counterexamples.append(
@@ -530,10 +558,8 @@ def _check_one(rule, family, indices, params, report, ctx):
                 "rule": rule,
                 "indices": [list(p) for p in indices],
                 "params": params,
-                "verdict": "vanishes" if outcome.vanishes else "transformed",
-                "image": None
-                if outcome.vanishes
-                else [list(p) for p in outcome.transformed],
+                "verdict": "vanishes" if image is None else "transformed",
+                "image": None if image is None else [list(p) for p in image],
                 "original_value": _json_value(left),
                 "image_value": _json_value(right),
             }
@@ -787,16 +813,25 @@ def reduce_indices(family, indices):
     raise ValueError(f"no reduction planner for family {family!r}")
 
 
+# A report's ends come out of a planner, which made them partitions; they
+# go to _value directly, and the Kronecker and plethysm engines still reject
+# a malformed index in a report built by hand.
+
+
 def reduced_value(report, ctx=None):
     """Coefficient at the reduced end of a reduction chain."""
     if report.vanishes:
         return 0
-    return coefficient_of(FAMILY_KEY[report.family], report.reduced, ctx)
+    if ctx is None:
+        ctx = SweepContext()
+    return _value(FAMILY_KEY[report.family], report.reduced, ctx)
 
 
 def check_reduction(report, ctx=None):
     """Recompute both ends of the chain; True when the value is preserved."""
-    original = coefficient_of(FAMILY_KEY[report.family], report.original, ctx)
+    if ctx is None:
+        ctx = SweepContext()
+    original = _value(FAMILY_KEY[report.family], report.original, ctx)
     return original == reduced_value(report, ctx)
 
 

@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 from rectsym.hall_littlewood import (
     charge,
     charge_standard,
-    check_hl_inversion_law,
-    check_hl_translation_law,
     hl_poly,
     kostka_foulkes,
     kostka_foulkes_oracle,
@@ -18,6 +16,7 @@ from rectsym.hall_littlewood import (
     specialize_t,
 )
 from rectsym.partitions import (
+    complement,
     count_ssyt,
     iter_ssyt,
     partitions_of,
@@ -72,6 +71,22 @@ def test_hl_specializations():
 def test_hl_negative_entries():
     # padded sequences with negative entries shift a smaller P
     assert hl_poly((1, -1), 2) == hl_poly((2, 0), 2).shift((-1, -1))
+
+
+def check_hl_translation_law(mu, n, k):
+    """P_(mu+(k^n)) == (x1...xn)^k P_mu."""
+    padded = zero_pad(tuple(mu), n)
+    lhs = hl_poly(tuple(a + k for a in padded), n)
+    rhs = hl_poly(padded, n).shift((k,) * n)
+    return lhs == rhs
+
+
+def check_hl_inversion_law(mu, n):
+    """P_mu(1/x; t) == P_(complement of mu in the 0 x n box)."""
+    padded = zero_pad(tuple(mu), n)
+    lhs = hl_poly(padded, n).invert_variables()
+    rhs = hl_poly(complement(padded, 0, n), n)
+    return lhs == rhs
 
 
 def test_hl_laws_small_grid():

@@ -153,6 +153,16 @@ def test_translated_partition():
     assert translated_partition((3, 3, 3), 1, 2) == (4, 4, 3)
 
 
+def test_translated_partition_matches_validated_sum():
+    # every p with at most 4 rows and parts <= 4, every n <= 5, every |k| <= 3
+    for p in enumerate_partitions(16, max_length=4, max_part=4):
+        for n in range(6):
+            for k in range(-3, 4):
+                raw = add_to_first_rows(p, k, n)
+                want = to_partition(raw) if is_partition(raw) else None
+                assert translated_partition(p, k, n) == want, (p, k, n)
+
+
 @given(partitions(), st.integers(0, 3), st.integers(0, 3))
 def test_translation_inverts(p, k, extra):
     n = len(p) + extra

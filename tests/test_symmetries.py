@@ -5,6 +5,8 @@ import json
 import pytest
 
 from rectsym import symmetries
+from rectsym.coefficients import kronecker_coefficient, lr_coefficient, plethysm_coefficient
+from rectsym.hall_littlewood import kostka_foulkes
 from rectsym.powersum import WeightMismatch
 from rectsym.symmetries import (
     FAMILY_OF,
@@ -170,17 +172,56 @@ def test_verify_parallel_matches_serial():
 def test_verify_parallel_counterexamples_in_serial_order(monkeypatch):
     # a faulty Kronecker value for one-row lam breaks the rule on instances
     # that both workers of the forked pool see
-    real = symmetries.coefficient_of
+    real = symmetries._value
 
-    def faulty(family, indices, ctx=None):
+    def faulty(family, indices, ctx):
         value = real(family, indices, ctx)
         return value + 1 if len(indices[0]) == 1 else value
 
-    monkeypatch.setattr(symmetries, "coefficient_of", faulty)
+    monkeypatch.setattr(symmetries, "_value", faulty)
     serial = verify_rule("kron-box", SMALL).as_dict(with_timing=False)
     parallel = verify_rule("kron-box", SMALL, jobs=2).as_dict(with_timing=False)
     assert len(serial["counterexamples"]) >= 2
     assert json.dumps(parallel) == json.dumps(serial)
+
+
+def _doctored_sweep(monkeypatch, rule, engine, permute):
+    """verify_rule on SMALL with the rule's image permuted, and the
+    counterexamples the engine finds directly, with no memo in between."""
+    real, names = symmetries._APPLIERS[rule]
+
+    def wrong(indices, **params):
+        image = real(indices, **params)
+        return None if image is None else permute(image)
+
+    monkeypatch.setitem(symmetries._APPLIERS, rule, (wrong, names))
+    expected = []
+    for indices, params, _ in symmetries._instances(rule, SMALL):
+        image = wrong(indices, **params)
+        right = 0 if image is None else engine(*image)
+        if engine(*indices) != right:
+            expected.append(([list(p) for p in indices], params))
+    report = verify_rule(rule, SMALL)
+    return [(ce["indices"], ce["params"]) for ce in report.counterexamples], expected
+
+
+def test_wrong_lr_image_is_a_counterexample(monkeypatch):
+    # c(nu', mu; lam') in place of c(lam', mu; nu'): a memo keyed by anything
+    # looser than the ordered triple would hide some of these
+    found, expected = _doctored_sweep(
+        monkeypatch, "lr-translate", lr_coefficient, lambda t: (t[2], t[1], t[0])
+    )
+    assert expected
+    assert found == expected
+
+
+def test_wrong_kf_image_is_a_counterexample(monkeypatch):
+    # K(mu', lam') in place of K(lam', mu'), wrong unless lam == mu
+    found, expected = _doctored_sweep(
+        monkeypatch, "kf-translate", kostka_foulkes, lambda t: (t[1], t[0])
+    )
+    assert expected
+    assert found == expected
 
 
 def test_verify_all_shape():
@@ -353,3 +394,45 @@ def test_sweep_bounds_reject_negative_fields(field):
     with pytest.raises(ValueError, match=field):
         SweepBounds(**{field: -1})
     assert getattr(SweepBounds(**{field: 0}), field) == 0
+
+
+def _rejecting_calls():
+    """One param per public entry point: its arity and call(indices, ctx),
+    which passes ctx where the entry point takes one."""
+    calls = []
+    for family, arity in (("lr", 3), ("kron", 3), ("pleth", 3), ("kf", 2)):
+        for shared in (False, True):
+
+            def call(idx, ctx, family=family, shared=shared):
+                return coefficient_of(family, idx, ctx if shared else None)
+
+            name = f"coefficient_of-{family}" + ("-shared" if shared else "")
+            calls.append((name, arity, call))
+    calls += [
+        ("apply_rule", 3, lambda idx, ctx: apply_rule("lr-box", idx, l=3, m=3, n=3)),
+        ("reduce_kronecker", 3, lambda idx, ctx: reduce_kronecker(*idx)),
+        ("reduce_plethysm", 3, lambda idx, ctx: reduce_plethysm(*idx)),
+        ("bench_reduction", 3, lambda idx, ctx: bench_reduction("kronecker", idx, repeats=1)),
+        ("lr_coefficient", 3, lambda idx, ctx: lr_coefficient(*idx)),
+        ("kronecker_coefficient", 3, lambda idx, ctx: kronecker_coefficient(*idx)),
+        ("plethysm_coefficient", 3, lambda idx, ctx: plethysm_coefficient(*idx)),
+        ("kostka_foulkes", 2, lambda idx, ctx: kostka_foulkes(*idx)),
+    ]
+    return [pytest.param(arity, call, id=name) for name, arity, call in calls]
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [((1, 2), "not weakly decreasing"), ((2, -1), "negative part")],
+    ids=["unsorted", "negative"],
+)
+@pytest.mark.parametrize("arity, call", _rejecting_calls())
+def test_entry_points_reject_malformed_partitions_alike(arity, call, bad, message):
+    # the malformed partition in each slot in turn, the other slots valid:
+    # the check comes before any weight test, and before a memo is written
+    ctx = SweepContext()
+    for slot in range(arity):
+        indices = tuple(bad if i == slot else (1,) for i in range(arity))
+        with pytest.raises(ValueError, match=message):
+            call(indices, ctx)
+    assert not any((ctx.lr, ctx.kf, ctx.kron, ctx.maps, ctx.powers))
