@@ -20,7 +20,6 @@ from .partitions import (
     complement_partition,
     conjugate,
     count_ssyt,
-    enumerate_partitions,
     fits_in_box,
     format_partition,
     parse_partition,

@@ -72,15 +72,14 @@ def _parse_box_list(text):
 # compute
 
 
-def _compute_value(family, lam, mu, nu, method, box):
+def _compute_value(family, lam, mu, nu, method):
     if method == "main":
         indices = (lam, mu) if nu is None else (lam, mu, nu)
         return coefficient_of(FAMILY_KEY[family], indices)
     if family == "lr":
         return lr_coefficient_oracle(lam, mu, nu)
     if family == "kronecker":
-        l, m = box or (max(1, len(lam)), max(1, len(mu)))
-        return kronecker_oracle(lam, mu, nu, l, m)
+        return kronecker_oracle(lam, mu, nu, max(1, len(lam)), max(1, len(mu)))
     if family == "plethysm":
         return plethysm_oracle(lam, mu, nu)
     return kostka_foulkes_oracle(lam, mu)
@@ -97,15 +96,8 @@ def cmd_compute(args):
         if args.nu is not None:
             raise ValueError("compute kostka-foulkes takes --lambda and --mu only")
         nu = None
-    box = None
-    if args.box:
-        if args.family != "kronecker":
-            raise ValueError("--box bounds the Kronecker oracle's rows; kronecker only")
-        box = _parse_box_list(args.box)
-        if len(box) != 2:
-            raise ValueError(f"--box needs two row bounds l,m, got {args.box!r}")
 
-    value = _compute_value(args.family, lam, mu, nu, args.method, box)
+    value = _compute_value(args.family, lam, mu, nu, args.method)
     payload = {
         "command": "compute",
         "family": args.family,
@@ -118,7 +110,7 @@ def cmd_compute(args):
         payload["nu"] = list(nu)
     if args.check:
         other_method = "oracle" if args.method == "main" else "main"
-        other = _compute_value(args.family, lam, mu, nu, other_method, box)
+        other = _compute_value(args.family, lam, mu, nu, other_method)
         payload["check_method"] = other_method
         payload["check_value"] = other if isinstance(other, int) else str(other)
         payload["agrees"] = value == other
@@ -146,7 +138,7 @@ def cmd_verify(args):
         raise ValueError(
             f"unknown rule {args.rule!r}; choose one of {', '.join(RULE_NAMES)} or all"
         )
-    max_box = max(_parse_box_list(args.boxes)) if args.boxes else 3
+    max_box = max(_parse_box_list(args.boxes)) if args.boxes else SweepBounds.max_box
     bounds = SweepBounds(
         max_weight=args.max_weight,
         max_box=max_box,
@@ -351,13 +343,12 @@ def build_parser():
     _add_partition_flags(p)
     p.add_argument("--method", choices=("main", "oracle"), default="main")
     p.add_argument("--check", action="store_true", help="run both methods, compare")
-    p.add_argument("--box", metavar="L,M", help="oracle row bounds (kronecker)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("verify", help="exhaustive symmetry sweeps")
     p.add_argument("rule", help="one of the ten rule names, or all")
-    p.add_argument("--max-weight", type=int, default=6)
+    p.add_argument("--max-weight", type=int, default=SweepBounds.max_weight)
     p.add_argument(
         "--boxes",
         "--box",
@@ -365,8 +356,10 @@ def build_parser():
         metavar="L,M,N",
         help="bound on every box dimension (the max of the list)",
     )
-    p.add_argument("--max-k", "--k", dest="max_k", type=int, default=2)
-    p.add_argument("--max-image-weight", type=int, default=24)
+    p.add_argument("--max-k", "--k", dest="max_k", type=int, default=SweepBounds.max_k)
+    p.add_argument(
+        "--max-image-weight", type=int, default=SweepBounds.max_image_weight
+    )
     p.add_argument(
         "--jobs", type=int, default=1, help="worker processes (>= 1, capped at CPU count)"
     )

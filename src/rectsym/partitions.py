@@ -55,14 +55,6 @@ def format_partition(p):
     return ",".join(str(a) for a in p) if p else "0"
 
 
-def weight(p):
-    return sum(p)
-
-
-def length(p):
-    return len(p)
-
-
 # ---------------------------------------------------------------------------
 # basic operations
 
@@ -109,11 +101,6 @@ def complement_partition(p, k, n):
     return to_partition(complement(p, k, n))
 
 
-def translate(seq, k, n):
-    """Add k to every row of seq padded to length n, as a signed sequence."""
-    return tuple(a + k for a in zero_pad(seq, n))
-
-
 def add_to_first_rows(p, k, n):
     """p with k added to its first n rows (padding with zeros up to n first).
 
@@ -149,17 +136,6 @@ def _gen_parts(w, max_length, max_part):
     for first in range(min(w, max_part), 0, -1):
         for rest in _gen_parts(w - first, max_length - 1, first):
             yield (first,) + rest
-
-
-def enumerate_partitions(max_weight, max_length=None, max_part=None):
-    """All partitions with the given bounds, graded by weight, then
-    lex-descending within each weight."""
-    if max_length is None:
-        max_length = max_weight
-    if max_part is None:
-        max_part = max_weight
-    for w in range(max_weight + 1):
-        yield from _gen_parts(w, max_length, max_part)
 
 
 @lru_cache(maxsize=None)

@@ -45,9 +45,6 @@ class TPoly:
     def t(power=1):
         return TPoly((0,) * power + (1,))
 
-    def degree(self):
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -280,20 +277,6 @@ class LaurentPoly:
 
     __rmul__ = scale
 
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("use invert_variables for inverses of monomials")
-        result = LaurentPoly.constant(self.arity, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base_needed = k >> 1
-            if base_needed:
-                base = base * base
-            k = base_needed
-        return result
-
     def shift(self, delta):
         """Multiply by the monomial x^delta."""
         r = LaurentPoly(self.arity)
@@ -305,9 +288,6 @@ class LaurentPoly:
         r = LaurentPoly(self.arity)
         r.terms = {tuple(-x for x in e): c for e, c in self.terms.items()}
         return r
-
-    def coefficient(self, exponents):
-        return self.terms.get(tuple(exponents), 0)
 
     def is_symmetric(self):
         """Invariance under the n-1 adjacent transpositions."""

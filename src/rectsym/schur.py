@@ -1,10 +1,14 @@
 """Schur Laurent polynomials in n variables, and the one reader of Schur
 coefficients.
 
-The construction is the bialternant: s_lam = a_(lam+delta) / a_delta with
-delta = (n-1, ..., 1, 0).  It makes sense for any weakly decreasing integer
-sequence lam of length n, not just partitions, and the two little laws this
-package leans on everywhere are proved by direct computation here:
+Two constructions, one job each.  For a partition lam,
+schur_poly_of_partition sums the tableau monomials: s_lam is the sum of
+x^(content of T) over the semistandard tableaux T of shape lam with entries
+in 1..n.  The bialternant s_lam = a_(lam+delta) / a_delta with
+delta = (n-1, ..., 1, 0) (schur_poly) makes sense for any weakly decreasing
+integer sequence lam of length n, not just partitions; it serves the signed
+shapes of the Hall-Littlewood polynomials, and it proves by direct
+computation the two little laws this package leans on everywhere:
 
   translation   s_(lam + (k,...,k)) = (x1...xn)^k * s_lam
   inversion     s_lam(1/x1, ..., 1/xn) = s_(box complement of lam in 0 x n)
@@ -25,7 +29,6 @@ from .partitions import (
     iter_ssyt,
     to_partition,
     ssyt_weight,
-    zero_pad,
 )
 from .polyring import LaurentPoly, divide_by_variable_difference
 
@@ -104,25 +107,17 @@ def schur_poly(lam, n):
 
 @lru_cache(maxsize=None)
 def schur_poly_of_partition(p, n):
-    """schur_poly of a partition zero-padded to arity n; 0 if too long.
-
-    For partition shapes the tableau monomial sum gives the same polynomial
-    as the bialternant (an invariant under test) and costs far less at high
-    arity, where the alternant has n! terms before division.
+    """s_p in n variables for a partition p (trailing zeros allowed), as the
+    tableau monomial sum: one x^(content of T) per semistandard tableau T of
+    shape p with entries in 1..n.  Zero when p has more than n rows; a p that
+    is not a partition raises ValueError.
     """
-    if len(p) > n:
-        return LaurentPoly.zero(n)
-    if n >= 6:
-        return schur_poly_ssyt(p, n)
-    return schur_poly(zero_pad(p, n), n)
-
-
-def schur_poly_ssyt(p, n):
-    """Same polynomial, as the tableau monomial sum.  Partition shapes only."""
+    p = to_partition(p)
     out = {}
-    for tab in iter_ssyt(p, n):
-        e = ssyt_weight(tab, n)
-        out[e] = out.get(e, 0) + 1
+    if len(p) <= n:
+        for tab in iter_ssyt(p, n):
+            e = ssyt_weight(tab, n)
+            out[e] = out.get(e, 0) + 1
     r = LaurentPoly(n)
     r.terms = out
     return r

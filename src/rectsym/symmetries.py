@@ -598,7 +598,8 @@ def verify_rule(rule, bounds=None, ctx=None, jobs=1):
     With jobs > 1 the instances are strided over a process pool of at most
     os.cpu_count() workers; workers are pure, the counters add up, and the
     counterexamples are merged back into enumeration order, so the report
-    equals the serial one.  jobs < 1 raises ValueError.
+    equals the serial one.  ctx serves only the in-process sweep (jobs == 1);
+    each worker builds its own.  jobs < 1 raises ValueError.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
@@ -607,26 +608,26 @@ def verify_rule(rule, bounds=None, ctx=None, jobs=1):
         bounds = SweepBounds()
     started = time.perf_counter()
     if jobs == 1:
-        report, _ = _sweep_stride(rule, bounds, 0, 1, ctx)
+        parts = [_sweep_stride(rule, bounds, 0, 1, ctx)]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        report = RuleReport(rule)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [
                 pool.submit(_sweep_stride, rule, bounds, start, jobs)
                 for start in range(jobs)
             ]
             parts = [future.result() for future in futures]
-        indexed = []
-        for part, found in parts:
-            report.checked += part.checked
-            report.transformed += part.transformed
-            report.vanished += part.vanished
-            report.skipped += part.skipped
-            indexed.extend(zip(found, part.counterexamples))
-        indexed.sort(key=lambda pair: pair[0])
-        report.counterexamples = [ce for _, ce in indexed]
+    report = RuleReport(rule)
+    indexed = []
+    for part, found in parts:
+        report.checked += part.checked
+        report.transformed += part.transformed
+        report.vanished += part.vanished
+        report.skipped += part.skipped
+        indexed.extend(zip(found, part.counterexamples))
+    indexed.sort(key=lambda pair: pair[0])
+    report.counterexamples = [ce for _, ce in indexed]
     report.elapsed_s = time.perf_counter() - started
     return report
 

@@ -429,33 +429,17 @@ def test_apply_box_rejects_translation_rules(capsys, rule):
     assert "translation rule" in err
 
 
-@pytest.mark.parametrize("box", ["2,2,9", "2"])
-def test_compute_kronecker_box_needs_two_values(capsys, box):
-    code, out, err = run(
-        capsys,
-        "compute", "kronecker",
-        "--lambda", "2", "--mu", "2", "--nu", "2",
-        "--method", "oracle", "--box", box,
-    )
-    assert code == EXIT_USAGE
-    assert out == ""
-    assert "--box" in err
-
-
-def test_compute_box_is_kronecker_only(capsys):
-    code, out, err = run(
-        capsys, "compute", "lr", "--lambda", "1", "--mu", "1", "--nu", "2", "--box", "2,2"
-    )
-    assert (code, out) == (EXIT_USAGE, "")
-    assert "kronecker only" in err
-
-
-def test_compute_kronecker_box_bounds_rows(capsys):
-    argv = ["compute", "kronecker", "--lambda", "1,1", "--mu", "2", "--nu", "1,1"]
-    assert run(capsys, *argv, "--method", "oracle", "--box", "2,1") == (EXIT_OK, "1\n", "")
-    code, _, err = run(capsys, *argv, "--method", "oracle", "--box", "1,1")
-    assert code == EXIT_USAGE
-    assert "need l >= 2" in err
+def test_compute_has_no_box_option(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(
+            [
+                "compute", "kronecker",
+                "--lambda", "1,1", "--mu", "2", "--nu", "1,1",
+                "--method", "oracle", "--box", "2,1",
+            ]
+        )
+    assert info.value.code == 2
+    assert "--box" in capsys.readouterr().err
 
 
 def test_argparse_rejects_unknown_family(capsys):

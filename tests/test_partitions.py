@@ -12,7 +12,6 @@ from rectsym.partitions import (
     conjugate,
     contains,
     count_ssyt,
-    enumerate_partitions,
     fits_in_box,
     format_partition,
     hooks,
@@ -155,12 +154,13 @@ def test_translated_partition():
 
 def test_translated_partition_matches_validated_sum():
     # every p with at most 4 rows and parts <= 4, every n <= 5, every |k| <= 3
-    for p in enumerate_partitions(16, max_length=4, max_part=4):
-        for n in range(6):
-            for k in range(-3, 4):
-                raw = add_to_first_rows(p, k, n)
-                want = to_partition(raw) if is_partition(raw) else None
-                assert translated_partition(p, k, n) == want, (p, k, n)
+    for w in range(17):
+        for p in partitions_of(w, 4, 4):
+            for n in range(6):
+                for k in range(-3, 4):
+                    raw = add_to_first_rows(p, k, n)
+                    want = to_partition(raw) if is_partition(raw) else None
+                    assert translated_partition(p, k, n) == want, (p, k, n)
 
 
 @given(partitions(), st.integers(0, 3), st.integers(0, 3))
@@ -188,11 +188,6 @@ def test_partitions_of_bounds():
             by_len = set(partitions_of(w, max_length=cap))
             by_part = {conjugate(p) for p in partitions_of(w, max_part=cap)}
             assert by_len == by_part
-
-
-def test_enumerate_partitions_graded():
-    got = list(enumerate_partitions(3))
-    assert got == [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
 
 
 def test_hooks():

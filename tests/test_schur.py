@@ -13,7 +13,6 @@ from rectsym.schur import (
     schur_coefficients,
     schur_poly,
     schur_poly_of_partition,
-    schur_poly_ssyt,
     sort_with_sign,
 )
 
@@ -91,20 +90,24 @@ def test_schur_of_partition_length_overflow():
 def test_schur_of_partition_monomial_content():
     # s_(2,1) at n=3: Kostka numbers K_(2,1),mu
     p = schur_poly_of_partition((2, 1), 3)
-    assert p.coefficient((2, 1, 0)) == 1
-    assert p.coefficient((1, 1, 1)) == 2
-    assert p.coefficient((3, 0, 0)) == 0
+    assert p.terms.get((2, 1, 0), 0) == 1
+    assert p.terms.get((1, 1, 1), 0) == 2
+    assert p.terms.get((3, 0, 0), 0) == 0
 
 
-def test_ssyt_route_matches_bialternant():
-    for w in range(6):
+def test_tableau_sum_vs_bialternant():
+    for w in range(7):
         for lam in partitions_of(w):
-            for n in range(1, 4):
-                if len(lam) > n:
-                    continue
-                assert schur_poly_ssyt(lam, n) == schur_poly(zero_pad(lam, n), n)
-    # and one larger arity where the fast path is the default
-    assert schur_poly_of_partition((2, 1), 6) == schur_poly(zero_pad((2, 1), 6), 6)
+            for n in range(len(lam), 6):
+                assert schur_poly_of_partition(lam, n) == schur_poly(zero_pad(lam, n), n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_schur_of_partition_validates(n):
+    for bad in ((1, 2), (2, -1)):
+        with pytest.raises(ValueError):
+            schur_poly_of_partition(bad, n)
+    assert schur_poly_of_partition((1, 0, 0), n) == schur_poly_of_partition((1,), n)
 
 
 def test_pieri_product():
