@@ -31,6 +31,7 @@ from .powersum import WeightMismatch
 from .symmetries import (
     BOX_PARAMS,
     FAMILY_KEY,
+    PLANNERS,
     RULE_NAMES,
     PreconditionViolated,
     SweepBounds,
@@ -367,7 +368,7 @@ def build_parser():
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("reduce", help="weight-reduction plan")
-    p.add_argument("family", choices=("kronecker", "plethysm"))
+    p.add_argument("family", choices=tuple(PLANNERS))
     _add_partition_flags(p, need_nu=True)
     p.add_argument(
         "--execute", action="store_true", help="compute both ends, assert equality"
@@ -376,7 +377,7 @@ def build_parser():
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("bench", help="naive vs reduce-then-compute timing")
-    p.add_argument("family", choices=("kronecker", "plethysm"))
+    p.add_argument("family", choices=tuple(PLANNERS))
     _add_partition_flags(p, need_nu=True)
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--json", action="store_true")

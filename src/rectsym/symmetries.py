@@ -23,6 +23,11 @@ Rule names and what they transform:
   pleth-translate-outer(n, k)  lam by (k^r), nu by ((qk)^n)
   kf-box(k, n)                 K(lam, mu): both complemented in k x n
   kf-translate(n, k)           both translated by (k^n)
+
+Weight reduction has one planning tail, _plan.  A family plans by listing its
+conjugation-plus-complement candidates and registering its planner in
+PLANNERS; the tail picks the lightest, builds the chain and the report, and
+applies the complement on partitions the planner built.
 """
 
 import os
@@ -379,9 +384,13 @@ def _value(family, indices, ctx):
 
 def coefficient_of(family, indices, ctx=None):
     """Coefficient value for one family ("lr", "kron", "pleth" or "kf"); the
-    entry point the command line uses.  Every index is checked to be a
-    partition (trailing zeros allowed, else ValueError) before ctx is read
-    or written; a call without ctx gets a private one."""
+    entry point the command line uses.  The number of indices (two for kf,
+    else three) and every index being a partition (trailing zeros allowed)
+    are checked, else ValueError, before ctx is read or written; a call
+    without ctx gets a private one."""
+    want = 2 if family == "kf" else 3
+    if len(indices) != want:
+        raise ValueError(f"{family} acts on {want} partitions, got {len(indices)}")
     indices = tuple(to_partition(p) for p in indices)
     if ctx is None:
         ctx = SweepContext()
@@ -666,13 +675,36 @@ class ReductionReport:
         }
 
 
-def _identity_report(family, indices, weight, candidates):
-    return ReductionReport(family, indices, [], indices, weight, weight, candidates)
-
-
-def _vanishing_report(family, indices, weight, candidates, chain):
+def _plan(family, original, weight, candidates, options, rule):
+    """The tail every planner shares.  candidates[i] scores one pattern (its
+    "applicable" defaults to true) and options[i] = (conjugated argument
+    names, triple, params) realises it: the conjugated original as
+    partitions, and rule's in-range parameters by name.  The first
+    applicable candidate of least weight wins; unless it is strictly below
+    weight the chain is the identity."""
+    usable = [i for i, c in enumerate(candidates) if c.get("applicable", True)]
+    best = min(usable, key=lambda i: candidates[i]["weight"], default=None)
+    if best is None or candidates[best]["weight"] >= weight:
+        return ReductionReport(
+            family, original, [], original, weight, weight, candidates
+        )
+    flips, triple, params = options[best]
+    chain = [{"op": "conjugate", "arguments": list(flips)}] if flips else []
+    image = _apply(rule, triple, params)
+    verdict = "vanishes" if image is None else "transformed"
+    chain.append({"op": "complement", "rule": rule, **params, "verdict": verdict})
+    after = None if image is None else candidates[best]["weight"]
     return ReductionReport(
-        family, indices, chain, None, weight, None, candidates, vanishes=True
+        family, original, chain, image, weight, after, candidates,
+        vanishes=image is None,
+    )
+
+
+def _conjugated(original, flips):
+    """original with the arguments named in flips conjugated."""
+    return tuple(
+        conjugate(p) if name in flips else p
+        for name, p in zip(("lambda", "mu", "nu"), original)
     )
 
 
@@ -691,47 +723,15 @@ def reduce_kronecker(lam, mu, nu):
     if not (sum(mu) == weight == sum(nu)):
         raise WeightMismatch("Kronecker indices must share one weight")
     original = (lam, mu, nu)
-    patterns = (
-        ((), original),
-        (("mu", "nu"), (lam, conjugate(mu), conjugate(nu))),
-        (("lambda", "nu"), (conjugate(lam), mu, conjugate(nu))),
-        (("lambda", "mu"), (conjugate(lam), conjugate(mu), nu)),
-    )
-    candidates = []
-    for flips, triple in patterns:
-        boxes = tuple(_first(p) for p in triple)
+    candidates, options = [], []
+    for flips in ((), ("mu", "nu"), ("lambda", "nu"), ("lambda", "mu")):
+        triple = _conjugated(original, flips)
+        l, m, n = (_first(p) for p in triple)
         candidates.append(
-            {
-                "conjugate": list(flips),
-                "boxes": list(boxes),
-                "weight": boxes[0] * boxes[1] * boxes[2] - weight,
-            }
+            {"conjugate": list(flips), "boxes": [l, m, n], "weight": l * m * n - weight}
         )
-    best = min(range(4), key=lambda i: candidates[i]["weight"])
-    if candidates[best]["weight"] >= weight:
-        return _identity_report("kronecker", original, weight, candidates)
-    flips, triple = patterns[best]
-    l, m, n = candidates[best]["boxes"]
-    chain = []
-    if flips:
-        chain.append({"op": "conjugate", "arguments": list(flips)})
-    outcome = apply_rule("kron-box", triple, l=l, m=m, n=n)
-    step = {"op": "complement", "rule": "kron-box", "l": l, "m": m, "n": n}
-    if outcome.vanishes:
-        step["verdict"] = "vanishes"
-        chain.append(step)
-        return _vanishing_report("kronecker", original, weight, candidates, chain)
-    step["verdict"] = "transformed"
-    chain.append(step)
-    return ReductionReport(
-        "kronecker",
-        original,
-        chain,
-        outcome.transformed,
-        weight,
-        candidates[best]["weight"],
-        candidates,
-    )
+        options.append((flips, triple, {"l": l, "m": m, "n": n}))
+    return _plan("kronecker", original, weight, candidates, options, "kron-box")
 
 
 def reduce_plethysm(lam, mu, nu):
@@ -749,69 +749,39 @@ def reduce_plethysm(lam, mu, nu):
         raise WeightMismatch("|nu| must equal |lambda| * |mu|")
     original = (lam, mu, nu)
     odd = sum(mu) % 2 == 1
-    candidates = [
-        {
-            "conjugate": [],
-            "m": _first(mu),
-            "n": len(nu),
-            "weight": _first(mu) * len(nu) * sum(lam) - weight,
-            "applicable": len(mu) <= len(nu),
-        },
-        {
-            "conjugate": ["lambda", "mu", "nu"] if odd else ["mu", "nu"],
-            "m": len(mu),
-            "n": _first(nu),
-            "weight": len(mu) * _first(nu) * sum(lam) - weight,
-            "applicable": _first(mu) <= _first(nu),
-        },
-    ]
+    candidates, options = [], []
+    for flips in ((), ("lambda", "mu", "nu") if odd else ("mu", "nu")):
+        triple = _conjugated(original, flips)
+        _, inner, outer = triple
+        m, n = _first(inner), len(outer)
+        candidates.append(
+            {
+                "conjugate": list(flips),
+                "m": m,
+                "n": n,
+                "weight": m * n * sum(lam) - weight,
+                "applicable": len(inner) <= n,
+            }
+        )
+        options.append((flips, triple, {"m": m, "n": n}))
     if lam and mu and len(mu) > len(nu):
         # s_mu needs more variables than nu provides, so the coefficient is 0
         chain = [{"op": "vanishes", "reason": "length(mu) > length(nu)"}]
-        return _vanishing_report("plethysm", original, weight, candidates, chain)
-    usable = [i for i in range(2) if candidates[i]["applicable"]]
-    if not usable:
-        return _identity_report("plethysm", original, weight, candidates)
-    best = min(usable, key=lambda i: candidates[i]["weight"])
-    if candidates[best]["weight"] >= weight:
-        return _identity_report("plethysm", original, weight, candidates)
-    chosen = candidates[best]
-    triple = original
-    chain = []
-    if chosen["conjugate"]:
-        flipped_lam = conjugate(lam) if odd else lam
-        triple = (flipped_lam, conjugate(mu), conjugate(nu))
-        chain.append({"op": "conjugate", "arguments": list(chosen["conjugate"])})
-    outcome = apply_rule("pleth-box-inner", triple, m=chosen["m"], n=chosen["n"])
-    step = {
-        "op": "complement",
-        "rule": "pleth-box-inner",
-        "m": chosen["m"],
-        "n": chosen["n"],
-    }
-    if outcome.vanishes:
-        step["verdict"] = "vanishes"
-        chain.append(step)
-        return _vanishing_report("plethysm", original, weight, candidates, chain)
-    step["verdict"] = "transformed"
-    chain.append(step)
-    return ReductionReport(
-        "plethysm",
-        original,
-        chain,
-        outcome.transformed,
-        weight,
-        chosen["weight"],
-        candidates,
-    )
+        return ReductionReport(
+            "plethysm", original, chain, None, weight, None, candidates, vanishes=True
+        )
+    return _plan("plethysm", original, weight, candidates, options, "pleth-box-inner")
+
+
+# The families with a planner, by the name the command line and the
+# reduction reports use.
+PLANNERS = {"kronecker": reduce_kronecker, "plethysm": reduce_plethysm}
 
 
 def reduce_indices(family, indices):
-    if family == "kronecker":
-        return reduce_kronecker(*indices)
-    if family == "plethysm":
-        return reduce_plethysm(*indices)
-    raise ValueError(f"no reduction planner for family {family!r}")
+    if family not in PLANNERS:
+        raise ValueError(f"no reduction planner for family {family!r}")
+    return PLANNERS[family](*indices)
 
 
 # A report's ends come out of a planner, which made them partitions; they

@@ -7,6 +7,7 @@ import pytest
 from rectsym import symmetries
 from rectsym.coefficients import kronecker_coefficient, lr_coefficient, plethysm_coefficient
 from rectsym.hall_littlewood import kostka_foulkes
+from rectsym.partitions import partitions_of
 from rectsym.powersum import WeightMismatch
 from rectsym.symmetries import (
     FAMILY_OF,
@@ -349,19 +350,42 @@ def test_reduction_report_schema():
     assert d["reduced"] == [[], [], []]
 
 
-def test_check_reduction_exhaustive_small():
-    ctx = SweepContext()
-    from rectsym.partitions import partitions_of
-
+def _kronecker_triples():
+    # every triple of weight <= 4
     for w in range(5):
         for lam in partitions_of(w):
             for mu in partitions_of(w):
                 for nu in partitions_of(w):
-                    assert check_reduction(reduce_kronecker(lam, mu, nu), ctx), (
-                        lam,
-                        mu,
-                        nu,
-                    )
+                    yield lam, mu, nu
+
+
+def _plethysm_triples():
+    # every triple with 1 <= |nu| <= 5 and |lam| * |mu| = |nu|
+    for total in range(1, 6):
+        for outer in range(1, total + 1):
+            if total % outer == 0:
+                for lam in partitions_of(outer):
+                    for mu in partitions_of(total // outer):
+                        for nu in partitions_of(total):
+                            yield lam, mu, nu
+
+
+@pytest.mark.parametrize(
+    "planner, triples, count, strict",
+    [
+        pytest.param(reduce_kronecker, _kronecker_triples, 162, 133, id="kronecker"),
+        pytest.param(reduce_plethysm, _plethysm_triples, 195, 112, id="plethysm"),
+    ],
+)
+def test_check_reduction_exhaustive_small(planner, triples, count, strict):
+    # strict: the plan vanishes or lands strictly below the original weight
+    ctx = SweepContext()
+    reports = [planner(*t) for t in triples()]
+    for r in reports:
+        assert check_reduction(r, ctx), r.original
+    assert len(reports) == count
+    lighter = [r for r in reports if r.vanishes or r.weight_after < r.weight_before]
+    assert len(lighter) == strict
 
 
 def test_rectangle_family_values():
@@ -419,6 +443,18 @@ def _rejecting_calls():
         ("kostka_foulkes", 2, lambda idx, ctx: kostka_foulkes(*idx)),
     ]
     return [pytest.param(arity, call, id=name) for name, arity, call in calls]
+
+
+@pytest.mark.parametrize(
+    "family, arity", [("lr", 2), ("kron", 2), ("pleth", 2), ("kf", 3)]
+)
+def test_coefficient_of_rejects_wrong_index_count(family, arity):
+    ctx = SweepContext()
+    want = 2 if family == "kf" else 3
+    message = f"{family} acts on {want} partitions, got {arity}"
+    with pytest.raises(ValueError, match=message):
+        coefficient_of(family, ((1,),) * arity, ctx)
+    assert not any((ctx.lr, ctx.kf, ctx.kron, ctx.maps, ctx.powers))
 
 
 @pytest.mark.parametrize(
