@@ -19,21 +19,16 @@ import json
 import sys
 from dataclasses import asdict
 
-from .coefficients import (
-    ArityTooSmall,
-    kronecker_oracle,
-    lr_coefficient_oracle,
-    plethysm_oracle,
-)
+from .coefficients import kronecker_oracle, lr_coefficient_oracle, plethysm_oracle
 from .hall_littlewood import kostka_foulkes_oracle
-from .partitions import LengthExceedsBox, format_partition, parse_partition
-from .powersum import WeightMismatch
+from .partitions import format_partition, parse_partition
 from .symmetries import (
+    ARITY,
     BOX_PARAMS,
     FAMILY_KEY,
+    FAMILY_OF,
     PLANNERS,
     RULE_NAMES,
-    PreconditionViolated,
     SweepBounds,
     SweepContext,
     apply_rule,
@@ -48,8 +43,6 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
-
-THREE_INDEX = ("lr", "kronecker", "plethysm")
 
 
 def _emit(payload, as_json, text):
@@ -69,49 +62,52 @@ def _parse_box_list(text):
     return values
 
 
+def _read_indices(args, name, family):
+    """The index tuple from --lambda, --mu and --nu, as many as ARITY gives
+    family (a coefficient_of key); name heads the ValueError."""
+    indices = (parse_partition(args.lam), parse_partition(args.mu))
+    if ARITY[family] == 2:
+        if args.nu is not None:
+            raise ValueError(f"{name} takes --lambda and --mu only")
+        return indices
+    if args.nu is None:
+        raise ValueError(f"{name} needs --nu")
+    return indices + (parse_partition(args.nu),)
+
+
 # ---------------------------------------------------------------------------
 # compute
 
 
-def _compute_value(family, lam, mu, nu, method):
+def _compute_value(family, indices, method):
     if method == "main":
-        indices = (lam, mu) if nu is None else (lam, mu, nu)
         return coefficient_of(FAMILY_KEY[family], indices)
     if family == "lr":
-        return lr_coefficient_oracle(lam, mu, nu)
+        return lr_coefficient_oracle(*indices)
     if family == "kronecker":
-        return kronecker_oracle(lam, mu, nu, max(1, len(lam)), max(1, len(mu)))
+        lam, mu, _ = indices
+        return kronecker_oracle(*indices, max(1, len(lam)), max(1, len(mu)))
     if family == "plethysm":
-        return plethysm_oracle(lam, mu, nu)
-    return kostka_foulkes_oracle(lam, mu)
+        return plethysm_oracle(*indices)
+    return kostka_foulkes_oracle(*indices)
 
 
 def cmd_compute(args):
-    lam = parse_partition(args.lam)
-    mu = parse_partition(args.mu)
-    if args.family in THREE_INDEX:
-        if args.nu is None:
-            raise ValueError(f"compute {args.family} needs --nu")
-        nu = parse_partition(args.nu)
-    else:
-        if args.nu is not None:
-            raise ValueError("compute kostka-foulkes takes --lambda and --mu only")
-        nu = None
-
-    value = _compute_value(args.family, lam, mu, nu, args.method)
+    indices = _read_indices(args, f"compute {args.family}", FAMILY_KEY[args.family])
+    value = _compute_value(args.family, indices, args.method)
     payload = {
         "command": "compute",
         "family": args.family,
-        "lambda": list(lam),
-        "mu": list(mu),
+        "lambda": list(indices[0]),
+        "mu": list(indices[1]),
         "method": args.method,
         "value": value if isinstance(value, int) else str(value),
     }
-    if nu is not None:
-        payload["nu"] = list(nu)
+    if len(indices) == 3:
+        payload["nu"] = list(indices[2])
     if args.check:
         other_method = "oracle" if args.method == "main" else "main"
-        other = _compute_value(args.family, lam, mu, nu, other_method)
+        other = _compute_value(args.family, indices, other_method)
         payload["check_method"] = other_method
         payload["check_value"] = other if isinstance(other, int) else str(other)
         payload["agrees"] = value == other
@@ -215,11 +211,7 @@ def _render_report(report):
 
 
 def cmd_reduce(args):
-    indices = (
-        parse_partition(args.lam),
-        parse_partition(args.mu),
-        parse_partition(args.nu),
-    )
+    indices = _read_indices(args, f"reduce {args.family}", FAMILY_KEY[args.family])
     report = reduce_indices(args.family, indices)
     payload = {"command": "reduce", **report.as_dict()}
     text = _render_report(report)
@@ -243,11 +235,7 @@ def cmd_reduce(args):
 
 
 def cmd_bench(args):
-    indices = (
-        parse_partition(args.lam),
-        parse_partition(args.mu),
-        parse_partition(args.nu),
-    )
+    indices = _read_indices(args, f"bench {args.family}", FAMILY_KEY[args.family])
     try:
         result = bench_reduction(args.family, indices, repeats=args.repeats)
     except AssertionError as exc:
@@ -277,17 +265,7 @@ def cmd_apply(args):
         raise ValueError(
             f"unknown rule {args.rule!r}; choose one of {', '.join(RULE_NAMES)}"
         )
-    two_index = args.rule.startswith("kf-")
-    lam = parse_partition(args.lam)
-    mu = parse_partition(args.mu)
-    if two_index:
-        if args.nu is not None:
-            raise ValueError(f"{args.rule} takes --lambda and --mu only")
-        indices = (lam, mu)
-    else:
-        if args.nu is None:
-            raise ValueError(f"{args.rule} needs --nu")
-        indices = (lam, mu, parse_partition(args.nu))
+    indices = _read_indices(args, args.rule, FAMILY_OF[args.rule])
     params = {"l": args.l, "m": args.m, "n": args.n, "k": args.k}
     if args.box:
         names = BOX_PARAMS.get(args.rule)
@@ -324,10 +302,10 @@ def cmd_apply(args):
 # parser
 
 
-def _add_partition_flags(parser, need_nu=False):
+def _add_partition_flags(parser):
     parser.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")
     parser.add_argument("--mu", required=True, metavar="PARTS")
-    parser.add_argument("--nu", required=need_nu, default=None, metavar="PARTS")
+    parser.add_argument("--nu", default=None, metavar="PARTS")
 
 
 def build_parser():
@@ -340,7 +318,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("compute", help="one coefficient")
-    p.add_argument("family", choices=("lr", "kronecker", "plethysm", "kostka-foulkes"))
+    p.add_argument("family", choices=tuple(FAMILY_KEY))
     _add_partition_flags(p)
     p.add_argument("--method", choices=("main", "oracle"), default="main")
     p.add_argument("--check", action="store_true", help="run both methods, compare")
@@ -369,7 +347,7 @@ def build_parser():
 
     p = sub.add_parser("reduce", help="weight-reduction plan")
     p.add_argument("family", choices=tuple(PLANNERS))
-    _add_partition_flags(p, need_nu=True)
+    _add_partition_flags(p)
     p.add_argument(
         "--execute", action="store_true", help="compute both ends, assert equality"
     )
@@ -378,7 +356,7 @@ def build_parser():
 
     p = sub.add_parser("bench", help="naive vs reduce-then-compute timing")
     p.add_argument("family", choices=tuple(PLANNERS))
-    _add_partition_flags(p, need_nu=True)
+    _add_partition_flags(p)
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_bench)
@@ -407,13 +385,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (
-        ValueError,
-        WeightMismatch,
-        LengthExceedsBox,
-        PreconditionViolated,
-        ArityTooSmall,
-    ) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -53,7 +53,6 @@ def t_vandermonde(n):
     return out
 
 
-@lru_cache(maxsize=None)
 def v_poly(mu, n):
     """Normalization v_(mu,n)(t): product of [m]_t! over the multiplicities
     of the values of mu padded with zeros to length n (zeros count)."""

@@ -96,9 +96,15 @@ def complement(seq, k, n):
 
 def complement_partition(p, k, n):
     """Box complement of a partition that fits in the box."""
+    p = to_partition(p)
     if not fits_in_box(p, k, n):
         raise LengthExceedsBox(f"{p} does not fit in {k}x{n}")
-    return to_partition(complement(p, k, n))
+    # the complement of a partition in the box is one, up to trailing zeros
+    out = complement(p, k, n)
+    end = len(out)
+    while end and out[end - 1] == 0:
+        end -= 1
+    return out[:end]
 
 
 def add_to_first_rows(p, k, n):

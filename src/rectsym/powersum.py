@@ -30,7 +30,6 @@ class NonIntegralResult(ArithmeticError):
     pass
 
 
-@lru_cache(maxsize=None)
 def zee(rho):
     """Centralizer order: prod i^(m_i) m_i! over the multiplicities of rho."""
     out = 1

@@ -66,6 +66,9 @@ FAMILY_OF = {name: name.split("-", 1)[0] for name in RULE_NAMES}
 # reduction reports use.
 FAMILY_KEY = {"lr": "lr", "kronecker": "kron", "plethysm": "pleth", "kostka-foulkes": "kf"}
 
+# How many partitions index each family's coefficients.
+ARITY = {"lr": 3, "kron": 3, "pleth": 3, "kf": 2}
+
 
 class PreconditionViolated(ValueError):
     """A rule was invoked outside its hypotheses."""
@@ -93,6 +96,24 @@ class Outcome:
 def _require(cond, rule, clause):
     if not cond:
         raise PreconditionViolated(rule, clause)
+
+
+def _family_of(rule):
+    """The family of a rule name, else ValueError."""
+    if rule not in FAMILY_OF:
+        raise ValueError(f"unknown rule {rule!r}")
+    return FAMILY_OF[rule]
+
+
+def _partitions(name, family, indices):
+    """indices as partitions, after checking that there are as many as the
+    family (a coefficient_of key) takes; name heads the ValueError."""
+    want = ARITY.get(family)
+    if want is None:
+        raise ValueError(f"unknown family {family!r}")
+    if len(indices) != want:
+        raise ValueError(f"{name} acts on {want} partitions, got {len(indices)}")
+    return tuple(to_partition(p) for p in indices)
 
 
 def _first(p):
@@ -285,8 +306,7 @@ def apply_rule(rule, indices, l=None, m=None, n=None, k=None):
     any integer.  Missing, unused or out-of-hypothesis parameters raise
     PreconditionViolated.
     """
-    if rule not in _APPLIERS:
-        raise ValueError(f"unknown rule {rule!r}")
+    family = _family_of(rule)
     _, names = _APPLIERS[rule]
     supplied = {"l": l, "m": m, "n": n, "k": k}
     for name, value in supplied.items():
@@ -303,10 +323,7 @@ def apply_rule(rule, indices, l=None, m=None, n=None, k=None):
             # k doubles as a box width for kf-box; every box width is >= 0
             _require(value >= 0, rule, f"parameter {name} must be nonnegative")
         params[name] = value
-    want = 2 if FAMILY_OF[rule] == "kf" else 3
-    if len(indices) != want:
-        raise ValueError(f"{rule} acts on {want} partitions, got {len(indices)}")
-    indices = tuple(to_partition(p) for p in indices)
+    indices = _partitions(rule, family, indices)
     return Outcome(rule, tuple(params.items()), _apply(rule, indices, params))
 
 
@@ -372,10 +389,8 @@ def _value(family, indices, ctx):
         return plethysm_coefficient(*indices, ctx.chars, ctx.powers, ctx.maps)
     if family == "lr":
         memo, engine = ctx.lr, lr_coefficient
-    elif family == "kf":
-        memo, engine = ctx.kf, kostka_foulkes
     else:
-        raise ValueError(f"unknown family {family!r}")
+        memo, engine = ctx.kf, kostka_foulkes
     value = memo.get(indices)
     if value is None:
         value = memo[indices] = engine(*indices)
@@ -384,14 +399,11 @@ def _value(family, indices, ctx):
 
 def coefficient_of(family, indices, ctx=None):
     """Coefficient value for one family ("lr", "kron", "pleth" or "kf"); the
-    entry point the command line uses.  The number of indices (two for kf,
-    else three) and every index being a partition (trailing zeros allowed)
-    are checked, else ValueError, before ctx is read or written; a call
-    without ctx gets a private one."""
-    want = 2 if family == "kf" else 3
-    if len(indices) != want:
-        raise ValueError(f"{family} acts on {want} partitions, got {len(indices)}")
-    indices = tuple(to_partition(p) for p in indices)
+    entry point the command line uses.  The family, the number of indices
+    (ARITY) and every index being a partition (trailing zeros allowed) are
+    checked, else ValueError, before ctx is read or written; a call without
+    ctx gets a private one."""
+    indices = _partitions(family, family, indices)
     if ctx is None:
         ctx = SweepContext()
     return _value(family, indices, ctx)
@@ -540,8 +552,6 @@ def _instances(rule, bounds):
                     if translated_partition(lam, k, n) is None:
                         continue
                     yield (lam, mu), {"n": n, "k": k}, sum(mu) + k * n
-    else:
-        raise ValueError(f"unknown rule {rule!r}")
 
 
 def _json_value(value):
@@ -608,8 +618,10 @@ def verify_rule(rule, bounds=None, ctx=None, jobs=1):
     os.cpu_count() workers; workers are pure, the counters add up, and the
     counterexamples are merged back into enumeration order, so the report
     equals the serial one.  ctx serves only the in-process sweep (jobs == 1);
-    each worker builds its own.  jobs < 1 raises ValueError.
+    each worker builds its own.  An unknown rule or jobs < 1 raises
+    ValueError before any work.
     """
+    _family_of(rule)
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
@@ -643,7 +655,10 @@ def verify_rule(rule, bounds=None, ctx=None, jobs=1):
 
 def verify_all(bounds=None, rules=RULE_NAMES, jobs=1):
     """Run verify_rule for each rule with a fresh context; reports come back
-    in the given rule order."""
+    in the given rule order.  Every rule name is checked before the first
+    rule runs."""
+    for rule in rules:
+        _family_of(rule)
     return [verify_rule(rule, bounds, jobs=jobs) for rule in rules]
 
 
@@ -779,9 +794,12 @@ PLANNERS = {"kronecker": reduce_kronecker, "plethysm": reduce_plethysm}
 
 
 def reduce_indices(family, indices):
+    """The reduction report of a planned family's index tuple; the number of
+    indices and every index being a partition are checked as in
+    coefficient_of."""
     if family not in PLANNERS:
         raise ValueError(f"no reduction planner for family {family!r}")
-    return PLANNERS[family](*indices)
+    return PLANNERS[family](*_partitions(family, FAMILY_KEY[family], indices))
 
 
 # A report's ends come out of a planner, which made them partitions; they
@@ -810,12 +828,12 @@ def check_reduction(report, ctx=None):
 # benchmarking
 
 
-def _timed_value(family, indices, repeats):
+def _timed(compute, repeats):
+    """compute()'s value and its median wall time over repeats calls."""
     times = []
-    value = None
     for _ in range(repeats):
         started = time.perf_counter()
-        value = coefficient_of(family, indices, SweepContext())
+        value = compute()
         times.append(time.perf_counter() - started)
     times.sort()
     return value, times[len(times) // 2]
@@ -831,18 +849,16 @@ def bench_reduction(family, indices, repeats=3):
     """
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
-    indices = tuple(to_partition(p) for p in indices)
-    # planning first rejects a family without a planner before any timing
+    # planning first rejects a family without a planner, or bad indices,
+    # before any timing
     report = reduce_indices(family, indices)
-    naive_value, naive_s = _timed_value(FAMILY_KEY[family], indices, repeats)
-    times = []
-    value = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        report = reduce_indices(family, indices)
-        value = reduced_value(report, SweepContext())
-        times.append(time.perf_counter() - started)
-    times.sort()
+    indices = report.original
+    naive_value, naive_s = _timed(
+        lambda: coefficient_of(FAMILY_KEY[family], indices, SweepContext()), repeats
+    )
+    value, reduced_s = _timed(
+        lambda: reduced_value(reduce_indices(family, indices), SweepContext()), repeats
+    )
     if value != naive_value:
         raise AssertionError(
             f"reduction changed the {family} value: {naive_value} != {value}"
@@ -854,5 +870,5 @@ def bench_reduction(family, indices, repeats=3):
         "weight_before": report.weight_before,
         "weight_after": report.weight_after,
         "naive_s": round(naive_s, 6),
-        "reduced_s": round(times[len(times) // 2], 6),
+        "reduced_s": round(reduced_s, 6),
     }

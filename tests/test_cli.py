@@ -290,6 +290,14 @@ def test_bench(capsys):
     assert "naive median:" in out
 
 
+@pytest.mark.parametrize("command", ["reduce", "bench"])
+def test_reduce_and_bench_need_nu(capsys, command):
+    code, out, err = run(capsys, command, "kronecker", "--lambda", "2", "--mu", "2")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"{command} kronecker needs --nu" in err
+
+
 @pytest.mark.parametrize("repeats", ["0", "-1"])
 def test_bench_rejects_repeats_below_one(capsys, repeats):
     code, out, err = run(

@@ -14,6 +14,7 @@ from rectsym.hall_littlewood import (
     monomial_symmetric_poly,
     reading_word,
     specialize_t,
+    v_poly,
 )
 from rectsym.partitions import (
     complement,
@@ -24,6 +25,13 @@ from rectsym.partitions import (
 )
 from rectsym.polyring import TPoly
 from rectsym.schur import schur_poly_of_partition
+
+
+def test_v_poly_counts_padded_multiplicities():
+    # (2,1,1,0): one 2, two 1s and one 0, so [1]_t! [2]_t! [1]_t! = 1 + t
+    assert v_poly((2, 1, 1), 4) == TPoly([1, 1])
+    # (0,0,0): [3]_t! = (1 + t)(1 + t + t^2)
+    assert v_poly((), 3) == TPoly([1, 2, 2, 1])
 
 
 def test_hl_poly_str():

@@ -119,6 +119,16 @@ def test_complement_rejects_overflow():
         complement_partition((3,), 2, 2)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [((2, -1), "negative part"), ((1, 2), "not weakly decreasing")],
+    ids=["negative", "unsorted"],
+)
+def test_complement_partition_rejects_malformed_input(bad, message):
+    with pytest.raises(ValueError, match=message):
+        complement_partition(bad, 3, 2)
+
+
 def test_complement_signed_sequence_allows_overflow():
     # the raw operation only enforces the row count
     assert complement((3,), 2, 2) == (2, -1)

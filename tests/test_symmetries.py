@@ -445,16 +445,68 @@ def _rejecting_calls():
     return [pytest.param(arity, call, id=name) for name, arity, call in calls]
 
 
-@pytest.mark.parametrize(
-    "family, arity", [("lr", 2), ("kron", 2), ("pleth", 2), ("kf", 3)]
-)
-def test_coefficient_of_rejects_wrong_index_count(family, arity):
+def _wrong_count_calls():
+    """One param per entry point that takes an index tuple, and per family
+    or rule: the name its message starts with, the count it wants, a wrong
+    count, and call(indices, ctx)."""
+    calls = []
+    for family, want, got in (("lr", 3, 2), ("kron", 3, 2), ("pleth", 3, 2), ("kf", 2, 3)):
+
+        def call(idx, ctx, family=family):
+            return coefficient_of(family, idx, ctx)
+
+        calls.append((f"{family}-{got}", family, want, got, call))
+    calls += [
+        (
+            "apply_rule-lr-box-2",
+            "lr-box", 3, 2,
+            lambda idx, ctx: apply_rule("lr-box", idx, l=2, m=2, n=2),
+        ),
+        ("apply_rule-kf-box-3", "kf-box", 2, 3, lambda idx, ctx: apply_rule("kf-box", idx, k=2, n=2)),
+    ]
+    for family in ("kronecker", "plethysm"):
+        for got in (2, 4):
+            calls += [
+                (
+                    f"reduce_indices-{family}-{got}",
+                    family, 3, got,
+                    lambda idx, ctx, family=family: reduce_indices(family, idx),
+                ),
+                (
+                    f"bench_reduction-{family}-{got}",
+                    family, 3, got,
+                    lambda idx, ctx, family=family: bench_reduction(family, idx, repeats=1),
+                ),
+            ]
+    return [
+        pytest.param(name, want, got, call, id=param_id)
+        for param_id, name, want, got, call in calls
+    ]
+
+
+@pytest.mark.parametrize("name, want, got, call", _wrong_count_calls())
+def test_coefficient_of_rejects_wrong_index_count(name, want, got, call):
+    # every entry point that takes an index tuple reads the count from ARITY
+    # and words the error alike, before a memo is touched
     ctx = SweepContext()
-    want = 2 if family == "kf" else 3
-    message = f"{family} acts on {want} partitions, got {arity}"
-    with pytest.raises(ValueError, match=message):
-        coefficient_of(family, ((1,),) * arity, ctx)
+    with pytest.raises(ValueError, match=f"^{name} acts on {want} partitions, got {got}$"):
+        call(((1,),) * got, ctx)
     assert not any((ctx.lr, ctx.kf, ctx.kron, ctx.maps, ctx.powers))
+
+
+def test_coefficient_of_rejects_unknown_family():
+    with pytest.raises(ValueError, match="unknown family 'nope'"):
+        coefficient_of("nope", ((1,), (1,), (2,)))
+
+
+def test_verify_rejects_unknown_rule_before_any_work(monkeypatch):
+    swept = []
+    monkeypatch.setattr(symmetries, "_sweep_stride", lambda *a, **k: swept.append(a))
+    with pytest.raises(ValueError, match="unknown rule 'nope'"):
+        verify_rule("nope", SMALL)
+    with pytest.raises(ValueError, match="unknown rule 'nope'"):
+        verify_all(SMALL, rules=("kf-box", "nope"))
+    assert swept == []
 
 
 @pytest.mark.parametrize(
