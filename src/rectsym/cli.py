@@ -302,6 +302,18 @@ def cmd_apply(args):
 # parser
 
 
+def _box_help():
+    """apply --box's help: each parameter order once, with its box rules."""
+    orders = {}
+    for rule, names in BOX_PARAMS.items():
+        orders.setdefault(",".join(names), []).append(rule)
+    listed = ", ".join(f"{dims} ({', '.join(rules)})" for dims, rules in orders.items())
+    return f"a box rule's dimensions in order: {listed}"
+
+
+_BOX_HELP = _box_help()
+
+
 def _add_partition_flags(parser):
     parser.add_argument("--lambda", dest="lam", required=True, metavar="PARTS")
     parser.add_argument("--mu", required=True, metavar="PARTS")
@@ -364,12 +376,7 @@ def build_parser():
     p = sub.add_parser("apply", help="one symmetry rule on explicit indices")
     p.add_argument("rule")
     _add_partition_flags(p)
-    p.add_argument(
-        "--box",
-        metavar="DIMS",
-        help="a box rule's dimensions in order: l,m,n (lr-box, kron-box),"
-        " m,n (pleth-box-inner), l,n (pleth-box-outer), k,n (kf-box)",
-    )
+    p.add_argument("--box", metavar="DIMS", help=_BOX_HELP)
     p.add_argument("--l", type=int, default=None)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--n", type=int, default=None)

@@ -1,11 +1,15 @@
 """Rectangle-complement and translation symmetries of the four coefficient
 families, exhaustive verification sweeps, and weight-reduction planners.
 
-Every rule has the same shape.  Hypotheses relate the index partitions to the
-rule parameters; applying a rule outside its hypotheses is a caller error
-(PreconditionViolated), not a mathematical statement.  Inside the hypotheses
-a containment test decides between two verdicts: the coefficient equals the
-coefficient of a transformed index tuple, or the coefficient is zero.
+Every rule has the same shape, declared once in RULES.  Each hypothesis is a
+floor on a parameter, read off the index partitions: a box dimension or row
+count at least a first part or a length, and a translation amount k at
+least p_{r+1} - p_r for the partition p it shifts in its first r rows.  A
+parameter below its floor is a caller error (PreconditionViolated, naming the
+parameter and the floor), not a mathematical statement.  At or above the
+floors a containment test decides between two verdicts: the coefficient
+equals the coefficient of a transformed index tuple, or the coefficient is
+zero.
 
 Rule names and what they transform:
 
@@ -33,6 +37,8 @@ applies the complement on partitions the planner built.
 import os
 import time
 from dataclasses import asdict, dataclass, field
+from itertools import product
+from math import inf
 
 from .coefficients import kronecker_coefficient, lr_coefficient, plethysm_coefficient
 from .hall_littlewood import kostka_foulkes
@@ -46,21 +52,6 @@ from .partitions import (
     translated_partition,
 )
 from .powersum import CharCache, WeightMismatch
-
-RULE_NAMES = (
-    "lr-box",
-    "lr-translate",
-    "kron-box",
-    "kron-translate",
-    "pleth-box-inner",
-    "pleth-translate-inner",
-    "pleth-box-outer",
-    "pleth-translate-outer",
-    "kf-box",
-    "kf-translate",
-)
-
-FAMILY_OF = {name: name.split("-", 1)[0] for name in RULE_NAMES}
 
 # The coefficient_of key of each family name the command line and the
 # reduction reports use.
@@ -120,26 +111,42 @@ def _first(p):
     return p[0] if p else 0
 
 
-def tableau_ratio(mu, n):
-    """q = r|mu|/n where r = count_ssyt(mu, n); integral by the degree count
-    over the tableau monomials of s_mu in n variables."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    total = count_ssyt(mu, n) * sum(mu)
+def _tableau_quotient(r, mu, n):
+    """q = r|mu|/n for r = count_ssyt(mu, n), as one exact division."""
+    total = r * sum(mu)
     if total % n:
         raise ArithmeticError(f"q = {total}/{n} is not integral for mu={mu}")
     return total // n
 
 
+def tableau_ratio(mu, n):
+    """q = r|mu|/n where r = count_ssyt(mu, n); integral by the degree count
+    over the tableau monomials of s_mu in n variables."""
+    if n <= 0:
+        raise ValueError("n must be positive")
+    return _tableau_quotient(count_ssyt(mu, n), mu, n)
+
+
+def _shift_floor(p, rows):
+    """The least k for which p + (k^rows) is a partition: p_{rows+1} - p_rows,
+    parts past the length read as 0.  Every k works when rows is 0, so the
+    floor is then -inf."""
+    if not rows:
+        return -inf
+    below = p[rows] if rows < len(p) else 0
+    return below - (p[rows - 1] if rows <= len(p) else 0)
+
+
 # ---------------------------------------------------------------------------
 # the rules
+#
+# An applier gets partitions and parameters at or above their floors, runs
+# the rule's containment test and returns the image tuple, or None when the
+# coefficient is zero.
 
 
 def _lr_box(indices, l, m, n):
     lam, mu, nu = indices
-    _require(len(nu) <= n, "lr-box", "length(nu) <= n")
-    _require(_first(lam) <= l, "lr-box", "lambda_1 <= l")
-    _require(_first(mu) <= m, "lr-box", "mu_1 <= m")
     if (
         fits_in_box(lam, l, n)
         and fits_in_box(mu, m, n)
@@ -155,20 +162,14 @@ def _lr_box(indices, l, m, n):
 
 def _lr_translate(indices, n, k):
     lam, mu, nu = indices
-    _require(n >= len(nu), "lr-translate", "n >= length(nu)")
-    lam_t = translated_partition(lam, k, n)
-    _require(lam_t is not None, "lr-translate", "lambda+(k^n) is a partition")
     nu_t = translated_partition(nu, k, n)
     if len(lam) <= n and nu_t is not None:
-        return (lam_t, mu, nu_t)
+        return (translated_partition(lam, k, n), mu, nu_t)
     return None
 
 
 def _kron_box(indices, l, m, n):
     lam, mu, nu = indices
-    _require(_first(lam) <= l, "kron-box", "lambda_1 <= l")
-    _require(_first(mu) <= m, "kron-box", "mu_1 <= m")
-    _require(_first(nu) <= n, "kron-box", "nu_1 <= n")
     if (
         fits_in_box(lam, l, m * n)
         and fits_in_box(mu, m, l * n)
@@ -184,21 +185,15 @@ def _kron_box(indices, l, m, n):
 
 def _kron_translate(indices, l, m, k):
     lam, mu, nu = indices
-    _require(l >= len(lam), "kron-translate", "l >= length(lambda)")
-    _require(m >= len(mu), "kron-translate", "m >= length(mu)")
-    nu_t = translated_partition(nu, k, l * m)
-    _require(nu_t is not None, "kron-translate", "nu+(k^(lm)) is a partition")
     lam_t = translated_partition(lam, k * m, l)
     mu_t = translated_partition(mu, k * l, m)
     if len(nu) <= l * m and lam_t is not None and mu_t is not None:
-        return (lam_t, mu_t, nu_t)
+        return (lam_t, mu_t, translated_partition(nu, k, l * m))
     return None
 
 
 def _pleth_box_inner(indices, m, n):
     lam, mu, nu = indices
-    _require(fits_in_box(mu, m, n), "pleth-box-inner", "mu fits in m x n")
-    _require(len(nu) <= n, "pleth-box-inner", "length(nu) <= n")
     if fits_in_box(nu, m * sum(lam), n):
         return (
             lam,
@@ -210,22 +205,16 @@ def _pleth_box_inner(indices, m, n):
 
 def _pleth_translate_inner(indices, n, k):
     lam, mu, nu = indices
-    _require(len(nu) <= n, "pleth-translate-inner", "length(nu) <= n")
-    mu_t = translated_partition(mu, k, n)
-    _require(mu_t is not None, "pleth-translate-inner", "mu+(k^n) is a partition")
     nu_t = translated_partition(nu, k * sum(lam), n)
     if nu_t is not None:
-        return (lam, mu_t, nu_t)
+        return (lam, translated_partition(mu, k, n), nu_t)
     return None
 
 
 def _pleth_box_outer(indices, l, n):
     lam, mu, nu = indices
-    _require(n >= 1, "pleth-box-outer", "n >= 1")
-    _require(_first(lam) <= l, "pleth-box-outer", "lambda_1 <= l")
-    _require(len(nu) <= n, "pleth-box-outer", "length(nu) <= n")
     r = count_ssyt(mu, n)
-    q = tableau_ratio(mu, n)
+    q = _tableau_quotient(r, mu, n)
     if fits_in_box(lam, l, r) and fits_in_box(nu, q * l, n):
         return (
             complement_partition(lam, l, r),
@@ -237,22 +226,15 @@ def _pleth_box_outer(indices, l, n):
 
 def _pleth_translate_outer(indices, n, k):
     lam, mu, nu = indices
-    _require(n >= 1, "pleth-translate-outer", "n >= 1")
-    _require(len(nu) <= n, "pleth-translate-outer", "length(nu) <= n")
     r = count_ssyt(mu, n)
-    q = tableau_ratio(mu, n)
-    lam_t = translated_partition(lam, k, r)
-    _require(lam_t is not None, "pleth-translate-outer", "lambda+(k^r) is a partition")
-    nu_t = translated_partition(nu, q * k, n)
+    nu_t = translated_partition(nu, _tableau_quotient(r, mu, n) * k, n)
     if len(lam) <= r and nu_t is not None:
-        return (lam_t, mu, nu_t)
+        return (translated_partition(lam, k, r), mu, nu_t)
     return None
 
 
 def _kf_box(indices, k, n):
     lam, mu = indices
-    _require(_first(lam) <= k, "kf-box", "lambda_1 <= k")
-    _require(len(mu) <= n, "kf-box", "length(mu) <= n")
     if fits_in_box(lam, k, n) and fits_in_box(mu, k, n):
         return (complement_partition(lam, k, n), complement_partition(mu, k, n))
     return None
@@ -260,41 +242,87 @@ def _kf_box(indices, k, n):
 
 def _kf_translate(indices, n, k):
     lam, mu = indices
-    _require(len(mu) <= n, "kf-translate", "length(mu) <= n")
-    lam_t = translated_partition(lam, k, n)
-    _require(lam_t is not None, "kf-translate", "lambda+(k^n) is a partition")
     mu_t = translated_partition(mu, k, n)
     if len(lam) <= n and mu_t is not None:
-        return (lam_t, mu_t)
+        return (translated_partition(lam, k, n), mu_t)
     return None
 
 
-_APPLIERS = {
-    "lr-box": (_lr_box, ("l", "m", "n")),
-    "lr-translate": (_lr_translate, ("n", "k")),
-    "kron-box": (_kron_box, ("l", "m", "n")),
-    "kron-translate": (_kron_translate, ("l", "m", "k")),
-    "pleth-box-inner": (_pleth_box_inner, ("m", "n")),
-    "pleth-translate-inner": (_pleth_translate_inner, ("n", "k")),
-    "pleth-box-outer": (_pleth_box_outer, ("l", "n")),
-    "pleth-translate-outer": (_pleth_translate_outer, ("n", "k")),
-    "kf-box": (_kf_box, ("k", "n")),
-    "kf-translate": (_kf_translate, ("n", "k")),
+@dataclass(frozen=True)
+class Rule:
+    """One rule, declared once; every hypothesis is a lower bound on a
+    parameter.  params: the parameter names in --box order.  floors(*indices):
+    each box dimension's and row count's floor by name, in sweep nesting
+    order.  shift(*indices, **floored): a translation rule's floor of k.
+    image_weight(*indices, **params): for the plethysm rules, the image
+    coefficient's weight, which SweepBounds.max_image_weight caps."""
+
+    params: tuple
+    image: object
+    floors: object
+    shift: object = None
+    image_weight: object = None
+
+
+RULES = {
+    "lr-box": Rule(
+        ("l", "m", "n"), _lr_box,
+        lambda lam, mu, nu: {"n": len(nu), "l": _first(lam), "m": _first(mu)},
+    ),
+    "lr-translate": Rule(
+        ("n", "k"), _lr_translate, lambda lam, mu, nu: {"n": len(nu)},
+        shift=lambda lam, mu, nu, n: _shift_floor(lam, n),
+    ),
+    "kron-box": Rule(
+        ("l", "m", "n"), _kron_box,
+        lambda lam, mu, nu: {"l": _first(lam), "m": _first(mu), "n": _first(nu)},
+    ),
+    "kron-translate": Rule(
+        ("l", "m", "k"), _kron_translate, lambda lam, mu, nu: {"l": len(lam), "m": len(mu)},
+        shift=lambda lam, mu, nu, l, m: _shift_floor(nu, l * m),
+    ),
+    "pleth-box-inner": Rule(
+        ("m", "n"), _pleth_box_inner,
+        lambda lam, mu, nu: {"n": max(len(mu), len(nu)), "m": _first(mu)},
+        image_weight=lambda lam, mu, nu, m, n: sum(lam) * (m * n - sum(mu)),
+    ),
+    "pleth-translate-inner": Rule(
+        ("n", "k"), _pleth_translate_inner, lambda lam, mu, nu: {"n": len(nu)},
+        shift=lambda lam, mu, nu, n: _shift_floor(mu, n),
+        image_weight=lambda lam, mu, nu, n, k: sum(nu) + k * sum(lam) * n,
+    ),
+    "pleth-box-outer": Rule(
+        ("l", "n"), _pleth_box_outer,
+        lambda lam, mu, nu: {"n": max(1, len(nu)), "l": _first(lam)},
+        image_weight=lambda lam, mu, nu, l, n: (l * count_ssyt(mu, n) - sum(lam)) * sum(mu),
+    ),
+    "pleth-translate-outer": Rule(
+        ("n", "k"), _pleth_translate_outer, lambda lam, mu, nu: {"n": max(1, len(nu))},
+        shift=lambda lam, mu, nu, n: _shift_floor(lam, count_ssyt(mu, n)),
+        image_weight=lambda lam, mu, nu, n, k: (sum(lam) + k * count_ssyt(mu, n)) * sum(mu),
+    ),
+    "kf-box": Rule(("k", "n"), _kf_box, lambda lam, mu: {"n": len(mu), "k": _first(lam)}),
+    "kf-translate": Rule(
+        ("n", "k"), _kf_translate, lambda lam, mu: {"n": len(mu)},
+        shift=lambda lam, mu, n: _shift_floor(lam, n),
+    ),
 }
 
-# The parameters of each box rule, in the order the command line's --box
-# lists them; every one is a box dimension (k is kf-box's width).
-BOX_PARAMS = {
-    rule: names for rule, (_, names) in _APPLIERS.items() if "-box" in rule
-}
+RULE_NAMES = tuple(RULES)
+
+FAMILY_OF = {name: name.split("-", 1)[0] for name in RULE_NAMES}
+
+# The parameters of each box rule (a rule without a shift), in the order the
+# command line's --box lists them; every one is a box dimension (k is
+# kf-box's width).
+BOX_PARAMS = {rule: spec.params for rule, spec in RULES.items() if spec.shift is None}
 
 
 def _apply(rule, indices, params):
-    """The image of partitions under a rule with in-range parameters (a dict
-    by parameter name): the transformed tuple, or None when the coefficient
-    is zero.  The applier's hypothesis checks still run."""
-    fn, _ = _APPLIERS[rule]
-    return fn(indices, **params)
+    """The image of partitions under a rule with parameters at or above their
+    floors (a dict by parameter name): the transformed tuple, or None when
+    the coefficient is zero."""
+    return RULES[rule].image(indices, **params)
 
 
 def apply_rule(rule, indices, l=None, m=None, n=None, k=None):
@@ -302,28 +330,32 @@ def apply_rule(rule, indices, l=None, m=None, n=None, k=None):
     the Kostka-Foulkes rules).  Returns an Outcome whose transformed field is
     the image tuple, or None when the rule proves the coefficient is zero.
 
-    Box dimensions l, m, n must be nonnegative; translation amounts k may be
-    any integer.  Missing, unused or out-of-hypothesis parameters raise
-    PreconditionViolated.
+    Every hypothesis is a floor on a parameter, read off the indices: the
+    box dimensions and row counts first, then the translation amount k.  A
+    parameter below its floor raises PreconditionViolated naming both (every
+    box floor is at least 0, so a negative dimension is refused); so does a
+    missing or unused parameter.
     """
     family = _family_of(rule)
-    _, names = _APPLIERS[rule]
+    spec = RULES[rule]
     supplied = {"l": l, "m": m, "n": n, "k": k}
     for name, value in supplied.items():
-        if value is not None and name not in names:
+        if value is not None and name not in spec.params:
             raise PreconditionViolated(
-                rule, f"takes no parameter {name} (its parameters are {', '.join(names)})"
+                rule, f"takes no parameter {name} (its parameters are {', '.join(spec.params)})"
             )
     params = {}
-    for name in names:
+    for name in spec.params:
         value = supplied[name]
         _require(value is not None, rule, f"parameter {name} is required")
-        value = int(value)
-        if name != "k" or rule in ("kf-box",):
-            # k doubles as a box width for kf-box; every box width is >= 0
-            _require(value >= 0, rule, f"parameter {name} must be nonnegative")
-        params[name] = value
+        params[name] = int(value)
     indices = _partitions(rule, family, indices)
+    floors = spec.floors(*indices)
+    for name, floor in floors.items():
+        _require(params[name] >= floor, rule, f"parameter {name} must be at least {floor}")
+    if spec.shift is not None:
+        floor = spec.shift(*indices, **{name: params[name] for name in floors})
+        _require(params["k"] >= floor, rule, f"parameter k must be at least {floor}")
     return Outcome(rule, tuple(params.items()), _apply(rule, indices, params))
 
 
@@ -364,8 +396,8 @@ class SweepContext:
 
     coefficient_of validates its indices before it reads or writes these.
     The sweeps skip that step: they generate their instances as partitions
-    with in-range parameters, so they call the appliers and _value
-    directly."""
+    with parameters at or above their floors, so they call the appliers and
+    _value directly."""
 
     def __init__(self):
         self.chars = CharCache()
@@ -481,77 +513,32 @@ def _same_weight_pairs(max_weight):
                 yield lam, mu
 
 
+# The index tuples each family's sweep walks, up to a weight bound.
+_INDEX_TUPLES = {
+    "lr": _split_triples,
+    "kron": _same_weight_triples,
+    "pleth": _pleth_triples,
+    "kf": _same_weight_pairs,
+}
+
+
 def _instances(rule, bounds):
-    """Yield (indices, params, image_weight) for every in-hypothesis instance
-    of the rule inside the bounds.  image_weight is the weight of the image
-    coefficient, used for the plethysm cap."""
-    top = bounds.max_box
-    kk = bounds.max_k
-    if rule == "lr-box":
-        for lam, mu, nu in _split_triples(bounds.max_weight):
-            for n in range(len(nu), top + 1):
-                for l in range(_first(lam), top + 1):
-                    for m in range(_first(mu), top + 1):
-                        yield (lam, mu, nu), {"l": l, "m": m, "n": n}, (l + m) * n - sum(nu)
-    elif rule == "lr-translate":
-        for lam, mu, nu in _split_triples(bounds.max_weight):
-            for n in range(len(nu), top + 1):
-                for k in range(-kk, kk + 1):
-                    if translated_partition(lam, k, n) is None:
-                        continue
-                    yield (lam, mu, nu), {"n": n, "k": k}, sum(nu) + k * n
-    elif rule == "kron-box":
-        for lam, mu, nu in _same_weight_triples(bounds.max_weight):
-            for l in range(_first(lam), top + 1):
-                for m in range(_first(mu), top + 1):
-                    for n in range(_first(nu), top + 1):
-                        yield (lam, mu, nu), {"l": l, "m": m, "n": n}, l * m * n - sum(nu)
-    elif rule == "kron-translate":
-        for lam, mu, nu in _same_weight_triples(bounds.max_weight):
-            for l in range(len(lam), top + 1):
-                for m in range(len(mu), top + 1):
-                    for k in range(-kk, kk + 1):
-                        if translated_partition(nu, k, l * m) is None:
-                            continue
-                        yield (lam, mu, nu), {"l": l, "m": m, "k": k}, sum(nu) + k * l * m
-    elif rule == "pleth-box-inner":
-        for lam, mu, nu in _pleth_triples(bounds.max_weight):
-            for n in range(max(len(mu), len(nu)), top + 1):
-                for m in range(_first(mu), top + 1):
-                    yield (lam, mu, nu), {"m": m, "n": n}, sum(lam) * (m * n - sum(mu))
-    elif rule == "pleth-translate-inner":
-        for lam, mu, nu in _pleth_triples(bounds.max_weight):
-            for n in range(len(nu), top + 1):
-                for k in range(-kk, kk + 1):
-                    if translated_partition(mu, k, n) is None:
-                        continue
-                    yield (lam, mu, nu), {"n": n, "k": k}, sum(nu) + k * sum(lam) * n
-    elif rule == "pleth-box-outer":
-        for lam, mu, nu in _pleth_triples(bounds.max_weight):
-            for n in range(max(1, len(nu)), top + 1):
-                r = count_ssyt(mu, n)
-                for l in range(_first(lam), top + 1):
-                    yield (lam, mu, nu), {"l": l, "n": n}, (l * r - sum(lam)) * sum(mu)
-    elif rule == "pleth-translate-outer":
-        for lam, mu, nu in _pleth_triples(bounds.max_weight):
-            for n in range(max(1, len(nu)), top + 1):
-                r = count_ssyt(mu, n)
-                for k in range(-kk, kk + 1):
-                    if translated_partition(lam, k, r) is None:
-                        continue
-                    yield (lam, mu, nu), {"n": n, "k": k}, (sum(lam) + k * r) * sum(mu)
-    elif rule == "kf-box":
-        for lam, mu in _same_weight_pairs(bounds.max_weight):
-            for n in range(len(mu), top + 1):
-                for k in range(_first(lam), top + 1):
-                    yield (lam, mu), {"k": k, "n": n}, k * n - sum(mu)
-    elif rule == "kf-translate":
-        for lam, mu in _same_weight_pairs(bounds.max_weight):
-            for n in range(len(mu), top + 1):
-                for k in range(-kk, kk + 1):
-                    if translated_partition(lam, k, n) is None:
-                        continue
-                    yield (lam, mu), {"n": n, "k": k}, sum(mu) + k * n
+    """Yield (indices, params) for every instance of the rule inside the
+    bounds: each floored parameter from its floor to max_box, nested in
+    floors order, then k from max(-max_k, its floor) to max_k.  Every one
+    meets the rule's hypotheses."""
+    spec = RULES[rule]
+    top, kk = bounds.max_box, bounds.max_k
+    for indices in _INDEX_TUPLES[FAMILY_OF[rule]](bounds.max_weight):
+        floors = spec.floors(*indices)
+        names = tuple(floors)
+        for values in product(*(range(floor, top + 1) for floor in floors.values())):
+            params = dict(zip(names, values))
+            if spec.shift is None:
+                yield indices, params
+                continue
+            for k in range(max(-kk, spec.shift(*indices, **params)), kk + 1):
+                yield indices, {**params, "k": k}
 
 
 def _json_value(value):
@@ -560,8 +547,8 @@ def _json_value(value):
 
 def _check_one(rule, family, indices, params, report, ctx):
     """Check one instance into report; False when it is a counterexample.
-    _instances builds indices from partitions_of and params in range, so
-    neither is validated again here."""
+    _instances builds indices from partitions_of and params from their
+    floors, so neither is validated again here."""
     image = _apply(rule, indices, params)
     left = _value(family, indices, ctx)
     if image is None:
@@ -576,7 +563,7 @@ def _check_one(rule, family, indices, params, report, ctx):
             {
                 "rule": rule,
                 "indices": [list(p) for p in indices],
-                "params": params,
+                "params": {name: params[name] for name in RULES[rule].params},
                 "verdict": "vanishes" if image is None else "transformed",
                 "image": None if image is None else [list(p) for p in image],
                 "original_value": _json_value(left),
@@ -593,13 +580,13 @@ def _sweep_stride(rule, bounds, start, step, ctx=None):
     if ctx is None:
         ctx = SweepContext()
     family = FAMILY_OF[rule]
-    capped = family == "pleth"
+    image_weight = RULES[rule].image_weight
     report = RuleReport(rule)
     found = []
-    for i, (indices, params, image_weight) in enumerate(_instances(rule, bounds)):
+    for i, (indices, params) in enumerate(_instances(rule, bounds)):
         if i % step != start:
             continue
-        if capped and image_weight > bounds.max_image_weight:
+        if image_weight and image_weight(*indices, **params) > bounds.max_image_weight:
             report.skipped += 1
             continue
         if not _check_one(rule, family, indices, params, report, ctx):
@@ -694,9 +681,10 @@ def _plan(family, original, weight, candidates, options, rule):
     """The tail every planner shares.  candidates[i] scores one pattern (its
     "applicable" defaults to true) and options[i] = (conjugated argument
     names, triple, params) realises it: the conjugated original as
-    partitions, and rule's in-range parameters by name.  The first
-    applicable candidate of least weight wins; unless it is strictly below
-    weight the chain is the identity."""
+    partitions, and rule's parameters by name, at or above their floors when
+    the candidate is applicable.  The first applicable candidate of least
+    weight wins; unless it is strictly below weight the chain is the
+    identity."""
     usable = [i for i, c in enumerate(candidates) if c.get("applicable", True)]
     best = min(usable, key=lambda i: candidates[i]["weight"], default=None)
     if best is None or candidates[best]["weight"] >= weight:

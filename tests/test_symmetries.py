@@ -1,5 +1,6 @@
 """Rule appliers, exhaustive verification sweeps, and weight reduction."""
 
+import dataclasses
 import json
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from rectsym import symmetries
 from rectsym.coefficients import kronecker_coefficient, lr_coefficient, plethysm_coefficient
 from rectsym.hall_littlewood import kostka_foulkes
-from rectsym.partitions import partitions_of
+from rectsym.partitions import partitions_of, translated_partition
 from rectsym.powersum import WeightMismatch
 from rectsym.symmetries import (
     FAMILY_OF,
@@ -110,6 +111,85 @@ def test_translations_compose_and_invert():
     assert apply_rule("lr-translate", c, n=2, k=-2).transformed == start
 
 
+@pytest.mark.parametrize(
+    "rule, indices, floors",
+    [
+        ("lr-box", ((2, 1), (3,), (3, 2, 1)), {"l": 2, "m": 3, "n": 3}),
+        ("lr-translate", ((3, 2, 1), (1,), (3, 2, 2)), {"n": 3, "k": -1}),
+        ("kron-box", ((3, 1), (2, 2), (2, 1, 1)), {"l": 3, "m": 2, "n": 2}),
+        ("kron-translate", ((2, 1), (2, 2), (2, 2, 1, 1)), {"l": 2, "m": 2, "k": -1}),
+        ("pleth-box-inner", ((2,), (2, 1), (3, 2, 1)), {"m": 2, "n": 3}),
+        ("pleth-translate-inner", ((2,), (2, 1, 1), (3, 3, 2)), {"n": 3, "k": -1}),
+        ("pleth-box-outer", ((2, 1), (1,), (2, 1)), {"l": 2, "n": 2}),
+        ("pleth-box-outer", ((1,), (2,), ()), {"l": 1, "n": 1}),
+        # r = count_ssyt((1,), 2) = 2 rows of lam are translated
+        ("pleth-translate-outer", ((1, 1), (1,), (1, 1)), {"n": 2, "k": -1}),
+        ("kf-box", ((3, 1), (2, 1, 1)), {"k": 3, "n": 3}),
+        ("kf-translate", ((2, 2, 1), (2, 2, 1)), {"n": 3, "k": -1}),
+    ],
+)
+def test_apply_rule_hypotheses_are_parameter_floors(rule, indices, floors):
+    # every parameter at its floor is accepted; each one alone a step below
+    # is refused with a message naming the parameter and the floor
+    apply_rule(rule, indices, **floors)
+    for name, floor in floors.items():
+        with pytest.raises(
+            PreconditionViolated, match=f"^{rule}: parameter {name} must be at least {floor}$"
+        ):
+            apply_rule(rule, indices, **{**floors, name: floor - 1})
+
+
+def test_shift_floor_matches_translated_partition():
+    # p + (k^rows) is a partition exactly when k >= p_{rows+1} - p_rows
+    cases = 0
+    for w in range(11):
+        for p in partitions_of(w):
+            for rows in range(8):
+                floor = symmetries._shift_floor(p, rows)
+                for k in range(-8, 9):
+                    assert (translated_partition(p, k, rows) is not None) == (k >= floor), (
+                        p, rows, k,
+                    )
+                    cases += 1
+    assert cases == 18904
+
+
+# (checked, transformed, vanished, skipped) per rule at SweepBounds(), the
+# counts perfbench/workloads.py pins as PINNED_RULES
+PINNED_SWEEP = {
+    "lr-box": (6661, 2855, 3806, 0),
+    "lr-translate": (4464, 3551, 913, 0),
+    "kron-box": (3401, 2499, 902, 0),
+    "kron-translate": (8309, 7349, 960, 0),
+    "pleth-box-inner": (1442, 1338, 104, 371),
+    "pleth-translate-inner": (2994, 2916, 78, 215),
+    "pleth-box-outer": (1577, 701, 876, 464),
+    "pleth-translate-outer": (2949, 1503, 1446, 345),
+    "kf-box": (375, 105, 270, 0),
+    "kf-translate": (941, 525, 416, 0),
+}
+
+# the plethysm rules with k down to -3 and an image cap below max_weight
+CAPPED = SweepBounds(max_k=3, max_image_weight=4)
+PINNED_CAPPED = {
+    "pleth-box-inner": (562, 469, 93, 1251),
+    "pleth-translate-inner": (1351, 1270, 81, 2879),
+    "pleth-box-outer": (1237, 376, 861, 804),
+    "pleth-translate-outer": (1371, 725, 646, 3016),
+}
+
+
+@pytest.mark.parametrize(
+    "rule, bounds, counts",
+    [pytest.param(rule, SweepBounds(), c, id=rule) for rule, c in PINNED_SWEEP.items()]
+    + [pytest.param(rule, CAPPED, c, id=f"{rule}-capped") for rule, c in PINNED_CAPPED.items()],
+)
+def test_sweep_counts_pinned(rule, bounds, counts):
+    rep = verify_rule(rule, bounds)
+    assert rep.ok, rep.counterexamples[:3]
+    assert (rep.checked, rep.transformed, rep.vanished, rep.skipped) == counts
+
+
 def test_tableau_ratio():
     assert tableau_ratio((1,), 2) == 1
     assert tableau_ratio((2, 1), 3) == 8
@@ -189,15 +269,15 @@ def test_verify_parallel_counterexamples_in_serial_order(monkeypatch):
 def _doctored_sweep(monkeypatch, rule, engine, permute):
     """verify_rule on SMALL with the rule's image permuted, and the
     counterexamples the engine finds directly, with no memo in between."""
-    real, names = symmetries._APPLIERS[rule]
+    real = symmetries.RULES[rule]
 
     def wrong(indices, **params):
-        image = real(indices, **params)
+        image = real.image(indices, **params)
         return None if image is None else permute(image)
 
-    monkeypatch.setitem(symmetries._APPLIERS, rule, (wrong, names))
+    monkeypatch.setitem(symmetries.RULES, rule, dataclasses.replace(real, image=wrong))
     expected = []
-    for indices, params, _ in symmetries._instances(rule, SMALL):
+    for indices, params in symmetries._instances(rule, SMALL):
         image = wrong(indices, **params)
         right = 0 if image is None else engine(*image)
         if engine(*indices) != right:
@@ -223,6 +303,16 @@ def test_wrong_kf_image_is_a_counterexample(monkeypatch):
     )
     assert expected
     assert found == expected
+
+
+def test_counterexample_params_keep_the_rules_order(monkeypatch):
+    # the sweep nests lr-box's n outermost; a counterexample still lists
+    # l, m, n, the order of --box
+    found, expected = _doctored_sweep(
+        monkeypatch, "lr-box", lr_coefficient, lambda t: (t[2], t[1], t[0])
+    )
+    assert found and found == expected
+    assert {tuple(params) for _, params in found} == {("l", "m", "n")}
 
 
 def test_verify_all_shape():
