@@ -11,7 +11,7 @@ Four working subcommands plus a rule applicator:
 Partitions are comma-separated part lists; the empty partition is written 0.
 Exit codes: 0 success, 1 a verification sweep found a counterexample,
 2 malformed input, 3 internal disagreement (oracle check or reduction
-value mismatch).
+value mismatch), 4 a worker process of verify --jobs N died.
 """
 
 import argparse
@@ -31,6 +31,7 @@ from .symmetries import (
     RULE_NAMES,
     SweepBounds,
     SweepContext,
+    SweepWorkerDied,
     apply_rule,
     bench_reduction,
     coefficient_of,
@@ -43,6 +44,7 @@ EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
 EXIT_USAGE = 2
 EXIT_MISMATCH = 3
+EXIT_WORKER_DIED = 4
 
 
 def _emit(payload, as_json, text):
@@ -395,6 +397,9 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SweepWorkerDied as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_WORKER_DIED
 
 
 if __name__ == "__main__":

@@ -60,21 +60,21 @@ def format_partition(p):
 
 
 def conjugate(p):
-    """Transpose the diagram."""
+    """Transpose the diagram.  p must be a partition; it is not validated."""
     if not p:
         return ()
     return tuple(sum(1 for a in p if a > j) for j in range(p[0]))
 
 
 def contains(outer, inner):
-    """Diagram containment inner <= outer, rowwise."""
+    """Diagram containment inner <= outer of partitions, not validated."""
     if len(inner) > len(outer):
         return False
     return all(inner[i] <= outer[i] for i in range(len(inner)))
 
 
 def fits_in_box(p, k, n):
-    """Does p sit inside the k-wide, n-tall rectangle?"""
+    """Does partition p (not validated) sit in the k-wide, n-tall box?"""
     return len(p) <= n and (not p or p[0] <= k)
 
 
@@ -107,19 +107,10 @@ def complement_partition(p, k, n):
     return out[:end]
 
 
-def add_to_first_rows(p, k, n):
-    """p with k added to its first n rows (padding with zeros up to n first).
-
-    The result is a raw tuple; it is a partition only under conditions the
-    caller is expected to test (see translated_partition).
-    """
-    padded = tuple(p) + (0,) * max(0, n - len(p))
-    return tuple(a + k if i < n else a for i, a in enumerate(padded))
-
-
 def translated_partition(p, k, n):
-    """p + (k^n) when that is a partition, else None."""
-    raw = add_to_first_rows(p, k, n)
+    """p + (k^n) when that is a partition, else None.  p must be a
+    partition; it is not validated."""
+    raw = tuple(a + k for a in p[:n]) + (k,) * (n - len(p)) + p[n:]
     if not is_weakly_decreasing(raw) or (raw and raw[-1] < 0):
         return None
     end = len(raw)

@@ -37,13 +37,13 @@ applies the complement on partitions the planner built.
 import os
 import time
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from itertools import product
 from math import inf
 
 from .coefficients import kronecker_coefficient, lr_coefficient, plethysm_coefficient
 from .hall_littlewood import kostka_foulkes
 from .partitions import (
-    complement_partition,
     conjugate,
     count_ssyt,
     fits_in_box,
@@ -68,6 +68,10 @@ class PreconditionViolated(ValueError):
         super().__init__(f"{rule}: {clause}")
         self.rule = rule
         self.clause = clause
+
+
+class SweepWorkerDied(RuntimeError):
+    """A worker process of a parallel sweep died before returning its part."""
 
 
 @dataclass(frozen=True)
@@ -111,20 +115,24 @@ def _first(p):
     return p[0] if p else 0
 
 
-def _tableau_quotient(r, mu, n):
-    """q = r|mu|/n for r = count_ssyt(mu, n), as one exact division."""
+@lru_cache(maxsize=1024)
+def _tableau_count(mu, n):
+    """(r, q) for a partition mu and n >= 1: r = count_ssyt(mu, n) and
+    q = r|mu|/n, as one exact division (a remainder raises ArithmeticError)."""
+    r = count_ssyt(mu, n)
     total = r * sum(mu)
     if total % n:
         raise ArithmeticError(f"q = {total}/{n} is not integral for mu={mu}")
-    return total // n
+    return r, total // n
 
 
 def tableau_ratio(mu, n):
-    """q = r|mu|/n where r = count_ssyt(mu, n); integral by the degree count
-    over the tableau monomials of s_mu in n variables."""
+    """q = r|mu|/n, r the number of tableaux of shape mu with entries <= n;
+    integral by the degree count over the tableau monomials of s_mu in n
+    variables.  A malformed mu or n <= 0 raises ValueError."""
     if n <= 0:
         raise ValueError("n must be positive")
-    return _tableau_quotient(count_ssyt(mu, n), mu, n)
+    return _tableau_count(to_partition(mu), n)[1]
 
 
 def _shift_floor(p, rows):
@@ -145,19 +153,23 @@ def _shift_floor(p, rows):
 # coefficient is zero.
 
 
+def _complements(*boxes):
+    """The complement of each (p, k, n) in boxes, p a partition, in its k x n
+    box, when every p fits in its box; else None.  Every fit is tested
+    before any complement is built."""
+    for p, k, n in boxes:
+        if not fits_in_box(p, k, n):
+            return None
+    # the parts equal to k are the complement's trailing zeros
+    return tuple(
+        tuple(k - a for a in reversed(p + (0,) * (n - len(p))) if a != k)
+        for p, k, n in boxes
+    )
+
+
 def _lr_box(indices, l, m, n):
     lam, mu, nu = indices
-    if (
-        fits_in_box(lam, l, n)
-        and fits_in_box(mu, m, n)
-        and fits_in_box(nu, l + m, n)
-    ):
-        return (
-            complement_partition(lam, l, n),
-            complement_partition(mu, m, n),
-            complement_partition(nu, l + m, n),
-        )
-    return None
+    return _complements((lam, l, n), (mu, m, n), (nu, l + m, n))
 
 
 def _lr_translate(indices, n, k):
@@ -170,17 +182,7 @@ def _lr_translate(indices, n, k):
 
 def _kron_box(indices, l, m, n):
     lam, mu, nu = indices
-    if (
-        fits_in_box(lam, l, m * n)
-        and fits_in_box(mu, m, l * n)
-        and fits_in_box(nu, n, l * m)
-    ):
-        return (
-            complement_partition(lam, l, m * n),
-            complement_partition(mu, m, l * n),
-            complement_partition(nu, n, l * m),
-        )
-    return None
+    return _complements((lam, l, m * n), (mu, m, l * n), (nu, n, l * m))
 
 
 def _kron_translate(indices, l, m, k):
@@ -194,13 +196,8 @@ def _kron_translate(indices, l, m, k):
 
 def _pleth_box_inner(indices, m, n):
     lam, mu, nu = indices
-    if fits_in_box(nu, m * sum(lam), n):
-        return (
-            lam,
-            complement_partition(mu, m, n),
-            complement_partition(nu, m * sum(lam), n),
-        )
-    return None
+    image = _complements((mu, m, n), (nu, m * sum(lam), n))
+    return None if image is None else (lam, *image)
 
 
 def _pleth_translate_inner(indices, n, k):
@@ -213,21 +210,15 @@ def _pleth_translate_inner(indices, n, k):
 
 def _pleth_box_outer(indices, l, n):
     lam, mu, nu = indices
-    r = count_ssyt(mu, n)
-    q = _tableau_quotient(r, mu, n)
-    if fits_in_box(lam, l, r) and fits_in_box(nu, q * l, n):
-        return (
-            complement_partition(lam, l, r),
-            mu,
-            complement_partition(nu, q * l, n),
-        )
-    return None
+    r, q = _tableau_count(mu, n)
+    image = _complements((lam, l, r), (nu, q * l, n))
+    return None if image is None else (image[0], mu, image[1])
 
 
 def _pleth_translate_outer(indices, n, k):
     lam, mu, nu = indices
-    r = count_ssyt(mu, n)
-    nu_t = translated_partition(nu, _tableau_quotient(r, mu, n) * k, n)
+    r, q = _tableau_count(mu, n)
+    nu_t = translated_partition(nu, q * k, n)
     if len(lam) <= r and nu_t is not None:
         return (translated_partition(lam, k, r), mu, nu_t)
     return None
@@ -235,9 +226,7 @@ def _pleth_translate_outer(indices, n, k):
 
 def _kf_box(indices, k, n):
     lam, mu = indices
-    if fits_in_box(lam, k, n) and fits_in_box(mu, k, n):
-        return (complement_partition(lam, k, n), complement_partition(mu, k, n))
-    return None
+    return _complements((lam, k, n), (mu, k, n))
 
 
 def _kf_translate(indices, n, k):
@@ -294,12 +283,12 @@ RULES = {
     "pleth-box-outer": Rule(
         ("l", "n"), _pleth_box_outer,
         lambda lam, mu, nu: {"n": max(1, len(nu)), "l": _first(lam)},
-        image_weight=lambda lam, mu, nu, l, n: (l * count_ssyt(mu, n) - sum(lam)) * sum(mu),
+        image_weight=lambda lam, mu, nu, l, n: (l * _tableau_count(mu, n)[0] - sum(lam)) * sum(mu),
     ),
     "pleth-translate-outer": Rule(
         ("n", "k"), _pleth_translate_outer, lambda lam, mu, nu: {"n": max(1, len(nu))},
-        shift=lambda lam, mu, nu, n: _shift_floor(lam, count_ssyt(mu, n)),
-        image_weight=lambda lam, mu, nu, n, k: (sum(lam) + k * count_ssyt(mu, n)) * sum(mu),
+        shift=lambda lam, mu, nu, n: _shift_floor(lam, _tableau_count(mu, n)[0]),
+        image_weight=lambda lam, mu, nu, n, k: (sum(lam) + k * _tableau_count(mu, n)[0]) * sum(mu),
     ),
     "kf-box": Rule(("k", "n"), _kf_box, lambda lam, mu: {"n": len(mu), "k": _first(lam)}),
     "kf-translate": Rule(
@@ -389,10 +378,11 @@ class SweepBounds:
 class SweepContext:
     """Caches scoped to one sweep: character tables, the plethysm engine's
     products prod_i s_mu(x^rho_i) on packed monomials (per (mu, n), keyed
-    by rho), Schur coefficients of evaluated plethysms, and three value
-    memos.  kron is keyed by the sorted triple, lr by the ordered triple
-    (lam, mu, nu) and kf by the ordered pair (lam, mu); no key uses any of
-    the rules the sweeps check.
+    by rho), Schur coefficients of evaluated plethysms, and four value
+    memos, one per family.  kron is keyed by the sorted triple, lr and pleth
+    by the ordered triple (lam, mu, nu) and kf by the ordered pair (lam, mu);
+    no key uses any of the rules the sweeps check.  The keys record every
+    value a sweep read.
 
     coefficient_of validates its indices before it reads or writes these.
     The sweeps skip that step: they generate their instances as partitions
@@ -405,27 +395,28 @@ class SweepContext:
         self.maps = {}
         self.kron = {}
         self.lr = {}
+        self.pleth = {}
         self.kf = {}
+
+
+# Each family's engine, looked up by name at call time, with ctx's caches.
+_ENGINES = {
+    "lr": lambda indices, ctx: lr_coefficient(*indices),
+    "kron": lambda indices, ctx: kronecker_coefficient(*indices, ctx.chars),
+    "pleth": lambda indices, ctx: plethysm_coefficient(*indices, ctx.chars, ctx.powers, ctx.maps),
+    "kf": lambda indices, ctx: kostka_foulkes(*indices),
+}
 
 
 def _value(family, indices, ctx):
     """Coefficient value of indices that are already partitions, through
-    ctx's memos; a miss calls the family's engine."""
-    if family == "kron":
-        key = tuple(sorted(indices))
-        value = ctx.kron.get(key)
-        if value is None:
-            value = ctx.kron[key] = kronecker_coefficient(*indices, ctx.chars)
-        return value
-    if family == "pleth":
-        return plethysm_coefficient(*indices, ctx.chars, ctx.powers, ctx.maps)
-    if family == "lr":
-        memo, engine = ctx.lr, lr_coefficient
-    else:
-        memo, engine = ctx.kf, kostka_foulkes
-    value = memo.get(indices)
+    ctx's memo of the family; a miss calls the family's engine.  The
+    Kronecker key is sorted: g is symmetric in its three arguments."""
+    memo = getattr(ctx, family)
+    key = tuple(sorted(indices)) if family == "kron" else indices
+    value = memo.get(key)
     if value is None:
-        value = memo[indices] = engine(*indices)
+        value = memo[key] = _ENGINES[family](indices, ctx)
     return value
 
 
@@ -605,8 +596,8 @@ def verify_rule(rule, bounds=None, ctx=None, jobs=1):
     os.cpu_count() workers; workers are pure, the counters add up, and the
     counterexamples are merged back into enumeration order, so the report
     equals the serial one.  ctx serves only the in-process sweep (jobs == 1);
-    each worker builds its own.  An unknown rule or jobs < 1 raises
-    ValueError before any work.
+    each worker builds its own; a worker that dies raises SweepWorkerDied.
+    An unknown rule or jobs < 1 raises ValueError before any work.
     """
     _family_of(rule)
     if jobs < 1:
@@ -618,14 +609,17 @@ def verify_rule(rule, bounds=None, ctx=None, jobs=1):
     if jobs == 1:
         parts = [_sweep_stride(rule, bounds, 0, 1, ctx)]
     else:
-        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_sweep_stride, rule, bounds, start, jobs)
-                for start in range(jobs)
-            ]
-            parts = [future.result() for future in futures]
+        try:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                futures = [
+                    pool.submit(_sweep_stride, rule, bounds, start, jobs)
+                    for start in range(jobs)
+                ]
+                parts = [future.result() for future in futures]
+        except BrokenExecutor as exc:
+            raise SweepWorkerDied(f"{rule}: a sweep worker process died") from exc
     report = RuleReport(rule)
     indexed = []
     for part, found in parts:

@@ -8,15 +8,16 @@ import sys
 
 import pytest
 
-from rectsym import cli
+from rectsym import cli, symmetries
 from rectsym.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_MISMATCH,
     EXIT_OK,
     EXIT_USAGE,
+    EXIT_WORKER_DIED,
     main,
 )
-from rectsym.symmetries import RULE_NAMES, RuleReport, coefficient_of
+from rectsym.symmetries import RULE_NAMES, RuleReport, SweepWorkerDied, coefficient_of
 
 
 def run(capsys, *argv):
@@ -198,6 +199,29 @@ def test_verify_jobs_clamped_to_cpu_count(capsys, monkeypatch):
     )
     assert code == EXIT_OK
     assert "0 counterexamples" in out
+
+
+_TEST_PID = os.getpid()
+_REAL_STRIDE = symmetries._sweep_stride
+
+
+def _dying_stride(*args, **kwargs):
+    """_sweep_stride, except that in a worker process it exits at once; in
+    the test's own process it sweeps as usual."""
+    if os.getpid() != _TEST_PID:
+        os._exit(1)
+    return _REAL_STRIDE(*args, **kwargs)
+
+
+def test_verify_dead_worker_exits_4(capsys, monkeypatch):
+    # two CPUs as far as verify_rule can tell, so --jobs 2 forks two workers
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(symmetries, "_sweep_stride", _dying_stride)
+    with pytest.raises(SweepWorkerDied, match="^kf-box: "):
+        symmetries.verify_rule("kf-box", symmetries.SweepBounds(max_weight=2), jobs=2)
+    code, _, err = run(capsys, "verify", "kf-box", "--max-weight", "2", "--jobs", "2", "--json")
+    assert code == EXIT_WORKER_DIED
+    assert "error: kf-box: " in err
 
 
 def test_verify_json_deterministic(capsys):
@@ -458,4 +482,6 @@ def test_argparse_rejects_unknown_family(capsys):
 
 
 def test_exit_code_values():
-    assert (EXIT_OK, EXIT_COUNTEREXAMPLE, EXIT_USAGE, EXIT_MISMATCH) == (0, 1, 2, 3)
+    assert (EXIT_OK, EXIT_COUNTEREXAMPLE, EXIT_USAGE, EXIT_MISMATCH, EXIT_WORKER_DIED) == (
+        0, 1, 2, 3, 4,
+    )

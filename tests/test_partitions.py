@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from rectsym.partitions import (
     LengthExceedsBox,
-    add_to_first_rows,
     complement,
     complement_partition,
     conjugate,
@@ -144,13 +143,6 @@ def test_complement_involution(p, extra_width, extra_rows):
     assert complement_partition(q, k, n) == p
 
 
-def test_add_to_first_rows():
-    assert add_to_first_rows((2, 1), 3, 2) == (5, 4)
-    assert add_to_first_rows((2,), 1, 3) == (3, 1, 1)
-    # rows past the n-th are left alone
-    assert add_to_first_rows((3, 2, 2), 2, 2) == (5, 4, 2)
-
-
 def test_translated_partition():
     assert translated_partition((1,), 1, 2) == (2, 1)
     assert translated_partition((3, 2), -2, 2) == (1,)
@@ -168,7 +160,8 @@ def test_translated_partition_matches_validated_sum():
         for p in partitions_of(w, 4, 4):
             for n in range(6):
                 for k in range(-3, 4):
-                    raw = add_to_first_rows(p, k, n)
+                    padded = p + (0,) * max(0, n - len(p))
+                    raw = tuple(a + k if i < n else a for i, a in enumerate(padded))
                     want = to_partition(raw) if is_partition(raw) else None
                     assert translated_partition(p, k, n) == want, (p, k, n)
 

@@ -8,7 +8,7 @@ import pytest
 from rectsym import symmetries
 from rectsym.coefficients import kronecker_coefficient, lr_coefficient, plethysm_coefficient
 from rectsym.hall_littlewood import kostka_foulkes
-from rectsym.partitions import partitions_of, translated_partition
+from rectsym.partitions import count_ssyt, partitions_of, translated_partition
 from rectsym.powersum import WeightMismatch
 from rectsym.symmetries import (
     FAMILY_OF,
@@ -196,6 +196,42 @@ def test_tableau_ratio():
     assert tableau_ratio((), 3) == 0
     with pytest.raises(ValueError):
         tableau_ratio((1,), 0)
+
+
+def test_tableau_count_matches_count_ssyt_and_ratio():
+    for w in range(7):
+        for mu in partitions_of(w):
+            for n in range(1, 5):
+                want = (count_ssyt(mu, n), tableau_ratio(mu, n))
+                assert symmetries._tableau_count(mu, n) == want, (mu, n)
+
+
+def test_value_calls_each_engine_once_per_key(monkeypatch):
+    # one rule per family through one context: every engine call is a memo
+    # miss, and the memo's keys are exactly the values the sweep read
+    calls = {}
+
+    def counted(family, name, key):
+        engine = getattr(symmetries, name)
+        seen = calls[family] = []
+
+        def wrapper(*args):
+            seen.append(key(args))
+            return engine(*args)
+
+        monkeypatch.setattr(symmetries, name, wrapper)
+
+    counted("lr", "lr_coefficient", lambda args: args)
+    counted("kron", "kronecker_coefficient", lambda args: tuple(sorted(args[:3])))
+    counted("pleth", "plethysm_coefficient", lambda args: args[:3])
+    counted("kf", "kostka_foulkes", lambda args: args)
+    ctx = SweepContext()
+    for rule in ("lr-box", "kron-translate", "pleth-box-outer", "kf-translate"):
+        assert verify_rule(rule, SMALL, ctx).ok
+    for family, seen in calls.items():
+        assert seen, family
+        assert len(seen) == len(set(seen)), family
+        assert set(seen) == set(getattr(ctx, family)), family
 
 
 def test_pleth_value_pins():
@@ -581,7 +617,7 @@ def test_coefficient_of_rejects_wrong_index_count(name, want, got, call):
     ctx = SweepContext()
     with pytest.raises(ValueError, match=f"^{name} acts on {want} partitions, got {got}$"):
         call(((1,),) * got, ctx)
-    assert not any((ctx.lr, ctx.kf, ctx.kron, ctx.maps, ctx.powers))
+    assert not any((ctx.lr, ctx.kf, ctx.kron, ctx.pleth, ctx.maps, ctx.powers))
 
 
 def test_coefficient_of_rejects_unknown_family():
@@ -613,4 +649,4 @@ def test_entry_points_reject_malformed_partitions_alike(arity, call, bad, messag
         indices = tuple(bad if i == slot else (1,) for i in range(arity))
         with pytest.raises(ValueError, match=message):
             call(indices, ctx)
-    assert not any((ctx.lr, ctx.kf, ctx.kron, ctx.maps, ctx.powers))
+    assert not any((ctx.lr, ctx.kf, ctx.kron, ctx.pleth, ctx.maps, ctx.powers))
