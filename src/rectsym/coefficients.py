@@ -45,7 +45,7 @@ from .powersum import (
     CharCache,
     NonIntegralResult,
     char_row,
-    char_value,
+    class_index,
     class_sizes,
 )
 from .schur import (
@@ -231,7 +231,8 @@ def _pleth_class_sum(lam, mu, nu, cache):
     b!^(a - length(rho)) sum_tau [p_tau](prod_i G[p_rho_i]) chi^nu(tau) is
     a! b!^a times the coefficient, and is divided exactly; a remainder
     raises NonIntegralResult.  The products prod_i G[p_rho_i] are memoised
-    by suffix of rho, for this call only."""
+    by suffix of rho, for this call only; chi^nu is read from nu's whole
+    row, at the class_index of each tau."""
     a, b = sum(lam), sum(mu)
     g = [
         (sigma, size * chi)
@@ -259,7 +260,8 @@ def _pleth_class_sum(lam, mu, nu, cache):
             w = size * chi * whole_b ** (a - len(rho))
             for tau, c in product(rho).items():
                 acc[tau] = acc.get(tau, 0) + w * c
-    total = sum(c * char_value(nu, tau, cache) for tau, c in acc.items() if c)
+    row = char_row(nu, cache)
+    total = sum(c * row[class_index(tau)] for tau, c in acc.items() if c)
     whole = factorial(a) * whole_b**a
     q, rem = divmod(total, whole)
     if rem:

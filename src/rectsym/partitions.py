@@ -124,15 +124,32 @@ def translated_partition(p, k, n):
 
 
 def _gen_parts(w, max_length, max_part):
-    # lex-descending within fixed weight
+    """Partitions of w with at most max_length parts, each at most max_part,
+    lex-descending.  The next partition lowers by 1 the rightmost part whose
+    lowering leaves room for the rest, then refills the rest greedily."""
     if w == 0:
         yield ()
         return
-    if max_length == 0 or max_part == 0:
+    top = min(w, max_part)
+    if top <= 0 or max_length * top < w:
         return
-    for first in range(min(w, max_part), 0, -1):
-        for rest in _gen_parts(w - first, max_length - 1, first):
-            yield (first,) + rest
+    q, r = divmod(w, top)
+    parts = [top] * q + ([r] if r else [])
+    while True:
+        yield tuple(parts)
+        rest = 0  # the sum of the parts right of i
+        for i in range(len(parts) - 1, -1, -1):
+            part = parts[i] - 1
+            if part and part * (max_length - i - 1) > rest:
+                break
+            rest += parts[i]
+        else:
+            return
+        del parts[i:]
+        q, r = divmod(rest + 1, part)
+        parts += [part] * (q + 1)
+        if r:
+            parts.append(r)
 
 
 @lru_cache(maxsize=None)

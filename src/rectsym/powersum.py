@@ -9,15 +9,24 @@ strip's sign is the parity of the beads strictly between b - k and b.  Beads
 at positions 0, 1, ... stand for zero rows; shifting them off makes the mask
 canonical, so shapes that differ only in zero rows share memo entries.
 
-The memo is one dict per suffix of a cycle type, keyed by canonical masks.
-A CharCache holds these dicts, whole character rows, and per weight the list
-of cycle types with their suffix dicts.  It can be shared across many
+The recursion fills a row one block of classes at a time.  Read backwards,
+partitions_of(n) is lex-ascending: the partitions of n with parts <= b are
+its first p(n, <= b) entries, and those with first part k form one block,
+(k,) + sigma for sigma over the first p(n - k, <= k) partitions of n - k.
+So block k of a shape's ascending row is the signed sum, over the shape's
+k-strips, of the first p(n - k, <= k) entries of the smaller shapes'
+ascending rows: one map(add) or map(sub) per strip over the whole block.
+
+A CharCache keeps each shape's ascending row as far as some call needed it
+and whole rows in partitions_of order.  It can be shared across many
 computations (a whole verification sweep, say); every function also works
 with a private one.
 """
 
+from bisect import bisect_left
 from functools import lru_cache
 from math import factorial
+from operator import add, neg, sub
 
 from .partitions import partitions_of, to_partition
 
@@ -31,13 +40,15 @@ class NonIntegralResult(ArithmeticError):
 
 
 def zee(rho):
-    """Centralizer order: prod i^(m_i) m_i! over the multiplicities of rho."""
+    """Centralizer order: prod i^(m_i) m_i! over the multiplicities of rho.
+    rho need not be sorted."""
     out = 1
-    mult = {}
-    for part in rho:
-        mult[part] = mult.get(part, 0) + 1
-    for part, m in mult.items():
-        out *= part**m * factorial(m)
+    prev = m = 0
+    for part in sorted(rho):
+        # the t-th copy of a part i contributes the factor i * t
+        m = m + 1 if part == prev else 1
+        prev = part
+        out *= part * m
     return out
 
 
@@ -48,35 +59,46 @@ def class_sizes(n):
     return tuple(total // zee(rho) for rho in partitions_of(n))
 
 
+@lru_cache(maxsize=None)
+def _bounded_counts(n):
+    """(p(n, <= 0), p(n, <= 1), ..., p(n, <= n)): for each bound b, the number
+    of partitions of n with every part at most b."""
+    counts = [1 if n == 0 else 0]
+    for b in range(1, n + 1):
+        counts.append(counts[-1] + _bounded_counts(n - b)[min(b, n - b)])
+    return tuple(counts)
+
+
+def class_index(rho):
+    """Position of the cycle type rho in partitions_of(sum(rho)), counted
+    from partitions with bounded parts.  rho must be a partition (weakly
+    decreasing, positive parts); it is not validated."""
+    n = rest = sum(rho)
+    ascending = 0
+    for part in rho:
+        # the partitions of rest below part in the first place come before
+        ascending += _bounded_counts(rest)[part - 1]
+        rest -= part
+    return _bounded_counts(n)[n] - 1 - ascending
+
+
 # ---------------------------------------------------------------------------
 # characters
 
 
 class CharCache:
-    """Shared memo for border-strip recursions plus whole character rows.
+    """Shared memo for the block recursion plus whole character rows.
 
-    strip maps each cycle type suffix sigma to a dict from canonical bead
-    masks to chi(sigma); the empty suffix holds the one value chi^() = 1.
-    rows maps a partition to its whole character row.  plans holds, per
-    weight n, every cycle type of n with the memo dicts of its suffixes.
+    strip maps each canonical bead mask to the shape's character on the
+    partitions of its weight in lex-ascending order, as far as the largest
+    part bound any call asked of it: whole blocks, never part of one.  The
+    empty shape holds the one value chi^() = 1.  rows maps a partition to
+    its whole character row in partitions_of order.
     """
 
     def __init__(self):
-        self.strip = {(): {0: 1}}
+        self.strip = {0: [1]}
         self.rows = {}
-        self.plans = {}
-
-    def memos(self, rho):
-        """The memo dicts of rho[0:], rho[1:], ..., rho[len(rho):] = ()."""
-        strip = self.strip
-        return [strip.setdefault(rho[i:], {}) for i in range(len(rho) + 1)]
-
-    def plan(self, n):
-        """(rho, memos(rho)) for every rho in partitions_of(n), in order."""
-        plan = self.plans.get(n)
-        if plan is None:
-            plan = self.plans[n] = [(rho, self.memos(rho)) for rho in partitions_of(n)]
-        return plan
 
 
 def _mask(lam):
@@ -88,52 +110,55 @@ def _mask(lam):
     return m
 
 
-def _chi(m, idx, rho, memos):
-    """chi at the shape with bead mask m on the cycle type rho[idx:]."""
-    memo = memos[idx]
-    got = memo.get(m)
-    if got is not None:
-        return got
-    k = rho[idx]
-    idx += 1
-    below = memos[idx]
-    total = 0
-    # bit b - k of ends is set when bead b can slide down to the gap b - k
-    ends = (m & ~(m << k)) >> k
-    while ends:
-        low = ends & -ends
-        ends ^= low
-        high = low << k
-        sub = m ^ high ^ low
-        # beads at 0, 1, ... are zero rows: drop them so the mask is canonical
-        while sub & 1:
-            sub >>= 1
-        val = below.get(sub)
-        if val is None:
-            val = _chi(sub, idx, rho, memos)
-        if val:
+def _ascending(m, n, bound, strip):
+    """chi at the shape with canonical bead mask m and weight n on the
+    partitions of n with parts <= bound, lex-ascending: the memo's list,
+    extended block by block as far as bound; it may run on past bound."""
+    row = strip.get(m)
+    if row is None:
+        row = strip[m] = []
+    counts = _bounded_counts(n)
+    if len(row) >= counts[bound]:
+        return row
+    # the blocks 1 .. done are already in row
+    done = bisect_left(counts, len(row))
+    for k in range(done + 1, bound + 1):
+        size = counts[k] - counts[k - 1]
+        below, below_bound = n - k, min(k, n - k)
+        block = None
+        # bit b - k of ends is set when bead b can slide down to the gap b - k
+        ends = (m & ~(m << k)) >> k
+        while ends:
+            low = ends & -ends
+            ends ^= low
+            high = low << k
+            shape = m ^ high ^ low
+            # beads at 0, 1, ... are zero rows: drop them so the mask is canonical
+            while shape & 1:
+                shape >>= 1
+            values = _ascending(shape, below, below_bound, strip)
             # the strip's height is the number of beads it jumps over
-            if (m & (high - (low << 1))).bit_count() & 1:
-                total -= val
+            odd = (m & (high - (low << 1))).bit_count() & 1
+            if block is None:
+                block = list(map(neg, values[:size])) if odd else values[:size]
             else:
-                total += val
-    memo[m] = total
-    return total
+                block = list(map(sub if odd else add, block, values))
+        row += block if block is not None else [0] * size
+    return row
 
 
 def char_value(lam, rho, cache=None):
-    """Character of the symmetric group: chi^lam evaluated on cycle type rho.
-    lam must be a partition (trailing zeros allowed) and rho must have
-    positive parts, else ValueError."""
+    """Character of the symmetric group: chi^lam evaluated on cycle type rho,
+    read off the row of lam at class_index(rho).  lam must be a partition
+    (trailing zeros allowed) and rho must have positive parts, else
+    ValueError."""
     lam = to_partition(lam)
     rho = tuple(sorted(rho, reverse=True))
     if rho and rho[-1] <= 0:
         raise ValueError(f"cycle type with a non-positive part: {rho}")
     if sum(lam) != sum(rho):
         raise WeightMismatch(f"|{lam}| != |{rho}|")
-    if cache is None:
-        cache = CharCache()
-    return _chi(_mask(lam), 0, rho, cache.memos(rho))
+    return char_row(lam, cache)[class_index(rho)]
 
 
 def char_row(lam, cache=None):
@@ -147,7 +172,7 @@ def char_row(lam, cache=None):
         if row is not None:
             return row
     lam = to_partition(lam)
-    m = _mask(lam)
-    row = tuple([_chi(m, 0, rho, memos) for rho, memos in cache.plan(sum(lam))])
+    n = sum(lam)
+    row = tuple(reversed(_ascending(_mask(lam), n, n, cache.strip)))
     cache.rows[lam] = row
     return row

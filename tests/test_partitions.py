@@ -193,6 +193,21 @@ def test_partitions_of_bounds():
             assert by_len == by_part
 
 
+def test_partitions_of_bounded_is_filtered_unbounded():
+    for w in range(15):
+        full = partitions_of(w)
+        assert list(full) == sorted(set(full), reverse=True)
+        for length in [None, *range(w + 2)]:
+            for part in [None, *range(w + 2)]:
+                want = tuple(
+                    p
+                    for p in full
+                    if (length is None or len(p) <= length)
+                    and (part is None or not p or p[0] <= part)
+                )
+                assert partitions_of(w, length, part) == want, (w, length, part)
+
+
 def test_hooks():
     assert hooks((2, 1)) == [[3, 1], [1]]
     assert hooks((2, 2)) == [[3, 2], [2, 1]]

@@ -1,4 +1,5 @@
-from math import factorial
+from collections import Counter
+from math import factorial, prod
 
 import pytest
 
@@ -8,6 +9,7 @@ from rectsym.powersum import (
     CharCache,
     char_row,
     char_value,
+    class_index,
     class_sizes,
     zee,
 )
@@ -35,6 +37,14 @@ def test_zee():
     assert zee((1, 1, 1)) == 6
     assert zee((2, 2)) == 8
     assert zee((1,) * 4) == 24
+
+
+def test_zee_of_unsorted_cycle_type_is_multiplicity_formula():
+    for n in range(10):
+        for rho in partitions_of(n):
+            want = prod(i**m * factorial(m) for i, m in Counter(rho).items())
+            for shuffled in (rho, rho[::-1], rho[1:] + rho[:1]):
+                assert zee(shuffled) == want, shuffled
 
 
 def test_zee_sums_to_factorial():
@@ -80,6 +90,44 @@ def test_char_dimension_column():
     # rectangles of the benchmark ladder, up to weight 32
     for lam in [(3,) * 6, (4,) * 7, (10,) * 3, (5,) * 6, (4,) * 8]:
         assert char_value(lam, (1,) * sum(lam)) == dim(lam), lam
+
+
+def test_char_dimension_column_at_weight_20():
+    # the hook length formula on every shape, not only rectangles
+    cache = CharCache()
+    for lam in partitions_of(20):
+        assert char_row(lam, cache)[-1] == dim(lam), lam
+
+
+def test_class_index_is_position_in_partitions_of():
+    for n in range(21):
+        for i, rho in enumerate(partitions_of(n)):
+            assert class_index(rho) == i, rho
+
+
+def test_char_value_is_row_entry_at_every_class():
+    cache = CharCache()
+    for n in range(13):
+        classes = partitions_of(n)
+        for lam in classes:
+            row = char_row(lam)
+            for rho in classes:
+                want = row[classes.index(rho)]
+                assert char_value(lam, rho, cache) == want, (lam, rho)
+                assert char_value(lam, rho[::-1], cache) == want, (lam, rho)
+
+
+def test_char_column_orthogonality():
+    # sum over lam of chi^lam(rho) chi^lam(sigma) = z_rho when rho == sigma,
+    # else 0
+    cache = CharCache()
+    for n in range(13):
+        classes = partitions_of(n)
+        rows = [char_row(lam, cache) for lam in classes]
+        for i, rho in enumerate(classes):
+            for j in range(i, len(classes)):
+                dot = sum(row[i] * row[j] for row in rows)
+                assert dot == (zee(rho) if i == j else 0), (rho, classes[j])
 
 
 def test_char_orthogonality():
