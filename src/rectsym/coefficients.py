@@ -10,12 +10,12 @@ can be played against each other:
   kron oracle  Garsia-Remmel sum: Jacobi-Trudi on s_lam in the h basis, each
                <h_alpha * s_mu, s_nu> a dynamic program over pairs of
                sub-partitions of (mu, nu) weighted by lattice-word LR counts
-  pleth      length(nu) <= 3: integer character sum of s_lam[s_mu] in
-             length(nu) variables on packed-integer monomials, unpacked
-             once and read with schur_coefficients; longer nu:
-             integer class sum on the power sum basis over the common
-             denominator |lam|! |mu|!^|lam| (each route is the faster one at
-             its arities, see POLY_MAX_ARITY)
+  pleth      one integer class sum of s_lam[s_mu] with a factor per route:
+             length(nu) <= 3, s_mu(x^k) on packed-integer monomials read
+             with schur_coefficients; longer nu, the power sum basis paired
+             with chi^nu over |lam|! |mu|!^|lam| (each route is the faster
+             one at its arities, see POLY_MAX_ARITY); products cached per
+             (mu, n), expansions per (lam, mu, n)
   pleth oracle  Jacobi-Trudi determinant over h or e evaluated on the
                monomials of the inner Schur polynomial, read with
                schur_coefficients
@@ -172,27 +172,54 @@ def _unpack_key(key, n):
     return tuple((key >> (PACK_BITS * i)) & mask for i in range(n))
 
 
-def _schur_at(lam, g, products, cache=None):
-    """s_lam evaluated at the monomials of the polynomial g: the integer sum
-    over cycle types rho of (N!/z_rho) chi^lam(rho) prod_i g(x^rho_i),
-    divided exactly by N!; a remainder raises NonIntegralResult.  The sum
-    runs on packed monomials (_pack, ValueError past its degree bound) and
-    is unpacked once into the returned LaurentPoly.  products caches the
-    packed products of g, keyed by cycle type; it serves one g and may be
-    shared by calls with any lam."""
+def _class_sum(lam, cache, products, factor):
+    """{key: sum over cycle types rho of (N!/z_rho) chi^lam(rho)
+    [key] prod_i F(rho_i)}, with N = |lam|, where factor(k, rest) is F(k)
+    times the dict rest.  products memoises the products prod_i F(rho_i)
+    by suffix of rho and holds the empty product at ()."""
     N = sum(lam)
-    base = _pack(g, N * max(map(sum, g.terms), default=0))
     acc = {}
     get = acc.get
     for rho, size, chi in zip(partitions_of(N), class_sizes(N), char_row(lam, cache)):
-        if not chi:
-            continue
-        w = size * chi
-        for e, c in _packed_product(base, rho, products).items():
-            acc[e] = get(e, 0) + w * c
+        if chi:
+            w = size * chi
+            for key, c in _product(rho, products, factor).items():
+                acc[key] = get(key, 0) + w * c
+    return acc
+
+
+def _product(rho, products, factor):
+    """prod_i F(rho_i), from the product of rho[1:]; memoised in products."""
+    out = products.get(rho)
+    if out is None:
+        out = products[rho] = factor(rho[0], _product(rho[1:], products, factor))
+    return out
+
+
+def _schur_at(lam, g, products, cache=None):
+    """s_lam evaluated at the monomials of the polynomial g: the class sum
+    with F(k) = g(x^k), divided exactly by N! = |lam|!; a remainder raises
+    NonIntegralResult.  The sum runs on packed monomials (_pack, ValueError
+    past its degree bound) and is unpacked once into the returned
+    LaurentPoly.  products caches the packed products of g, keyed by cycle
+    type; it serves one g and may be shared by calls with any lam."""
+    N = sum(lam)
+    base = _pack(g, N * max(map(sum, g.terms), default=0))
+    products.setdefault((), {0: 1})
+
+    def factor(k, rest):
+        out = {}
+        get = out.get
+        for e2, c2 in base.items():
+            e2 *= k
+            for e1, c1 in rest.items():
+                e = e1 + e2
+                out[e] = get(e, 0) + c1 * c2
+        return out
+
     whole = factorial(N)
     out = LaurentPoly(g.arity)
-    for e, c in acc.items():
+    for e, c in _class_sum(lam, cache, products, factor).items():
         q, rem = divmod(c, whole)
         if rem:
             e = _unpack_key(e, g.arity)
@@ -202,73 +229,37 @@ def _schur_at(lam, g, products, cache=None):
     return out
 
 
-def _packed_product(base, rho, products):
-    """prod_i g(x^rho_i) on packed monomials, where base is _pack(g); built
-    from the product of rho[1:] and memoised in products."""
-    out = products.get(rho)
-    if out is None:
-        out = {}
-        if rho:
-            rest = _packed_product(base, rho[1:], products)
-            k = rho[0]
-            get = out.get
-            for e2, c2 in base.items():
-                e2 *= k
-                for e1, c1 in rest.items():
-                    e = e1 + e2
-                    out[e] = get(e, 0) + c1 * c2
-        else:
-            out[0] = 1
-        products[rho] = out
-    return out
-
-
-def _pleth_class_sum(lam, mu, nu, cache):
-    """<s_lam[s_mu], s_nu> on the power sum basis, in integers.
-
-    With a = |lam|, b = |mu| and G = sum_sigma (b!/z_sigma) chi^mu(sigma)
-    p_sigma = b! s_mu, the sum over rho |- a of (a!/z_rho) chi^lam(rho)
-    b!^(a - length(rho)) sum_tau [p_tau](prod_i G[p_rho_i]) chi^nu(tau) is
-    a! b!^a times the coefficient, and is divided exactly; a remainder
-    raises NonIntegralResult.  The products prod_i G[p_rho_i] are memoised
-    by suffix of rho, for this call only; chi^nu is read from nu's whole
-    row, at the class_index of each tau."""
-    a, b = sum(lam), sum(mu)
+def _p_expansion(lam, mu, products, cache):
+    """a! b!^a s_lam[s_mu] as {class_index(tau): coefficient of p_tau},
+    with a = |lam| and b = |mu|: the class sum with F(k) = b!^(k-1) G[p_k],
+    where G = sum_sigma (b!/z_sigma) chi^mu(sigma) p_sigma = b! s_mu (the
+    factors b!^(rho_i - 1) make up b!^(a - length(rho))).  products, keyed
+    by cycle type, serves one mu and may be shared by calls with any lam."""
+    b = sum(mu)
     g = [
         (sigma, size * chi)
         for sigma, size, chi in zip(partitions_of(b), class_sizes(b), char_row(mu, cache))
         if chi
     ]
-    products = {(): {(): 1}}
+    products.setdefault((), {(): 1})
 
-    def product(rho):
-        out = products.get(rho)
-        if out is None:
-            k = rho[0]
-            out = {}
-            for tau, c in product(rho[1:]).items():
-                for sigma, d in g:
-                    key = tuple(sorted(tau + tuple(k * s for s in sigma), reverse=True))
-                    out[key] = out.get(key, 0) + c * d
-            products[rho] = out
+    def factor(k, rest):
+        scale = factorial(b) ** (k - 1)
+        out = {}
+        get = out.get
+        for sigma, d in g:
+            d *= scale
+            sigma = tuple(k * s for s in sigma)
+            for tau, c in rest.items():
+                key = tuple(sorted(tau + sigma, reverse=True))
+                out[key] = get(key, 0) + c * d
         return out
 
-    whole_b = factorial(b)
-    acc = {}
-    for rho, size, chi in zip(partitions_of(a), class_sizes(a), char_row(lam, cache)):
-        if chi:
-            w = size * chi * whole_b ** (a - len(rho))
-            for tau, c in product(rho).items():
-                acc[tau] = acc.get(tau, 0) + w * c
-    row = char_row(nu, cache)
-    total = sum(c * row[class_index(tau)] for tau, c in acc.items() if c)
-    whole = factorial(a) * whole_b**a
-    q, rem = divmod(total, whole)
-    if rem:
-        raise NonIntegralResult(
-            f"<s_{lam}[s_{mu}], s_{nu}> = {total}/({a}! {b}!^{a}), not an integer"
-        )
-    return q
+    return {
+        class_index(tau): c
+        for tau, c in _class_sum(lam, cache, products, factor).items()
+        if c
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +440,9 @@ def kronecker_oracle(lam, mu, nu, l, m, cache=None, table=None):
 
 
 # Up to this many rows of nu, plethysm_coefficient evaluates s_lam[s_mu] as a
-# polynomial in length(nu) variables; longer nu take the integer class sum
-# _pleth_class_sum.  Neither route wins everywhere (cold caches, 2 vCPUs,
-# Python 3.11.7).  The class sum alone slows the four plethysm rules at
+# polynomial in length(nu) variables; longer nu take its power sum expansion
+# _p_expansion.  Neither route wins everywhere (cold caches, 2 vCPUs,
+# Python 3.11.7).  The power sum route alone slows the four plethysm rules at
 # SweepBounds() 0.36 s -> 1.40 s and the five three-row pinned rungs of the
 # benchmark ladder 0.049 s -> 0.086 s.  The polynomial alone slows a cold
 # call at |nu| = 6 with five or six rows from 0.05-0.11 ms to 0.05-6.3 ms
@@ -464,16 +455,16 @@ def plethysm_coefficient(lam, mu, nu, cache=None, powers=None, maps=None):
     """Multiplicity of s_nu in s_lam[s_mu].  Each index must be a partition
     (trailing zeros allowed), else ValueError.
 
-    When nu has at most POLY_MAX_ARITY rows, s_lam[s_mu] is evaluated in
-    length(nu) variables and read with schur_coefficients; longer nu take
-    the integer class sum on the power sum basis, divided exactly by
-    |lam|! |mu|!^|lam|.  Either route raises NonIntegralResult on a
-    remainder.  cache is a CharCache.  powers and maps are dicts that may be
-    shared across calls and serve the polynomial route only: powers maps
-    (mu, n) to {rho: prod_i s_mu(x^rho_i)}, each product a dict from packed
-    monomial (see PACK_BITS) to coefficient, and maps holds the Schur
-    coefficients of the evaluated plethysms keyed (lam, mu, n).  The route
-    raises ValueError when |nu| >= 2^PACK_BITS.
+    Both routes are the class sum sum_rho (|lam|!/z_rho) chi^lam(rho)
+    prod_i F(rho_i), each with its own F.  Up to POLY_MAX_ARITY rows of nu,
+    F(k) = s_mu(x^k) on packed monomials (ValueError when
+    |nu| >= 2^PACK_BITS), read with schur_coefficients; longer nu take
+    F(k) = |mu|!^(k-1) |mu|! s_mu[p_k], paired with chi^nu and divided
+    exactly by |lam|! |mu|!^|lam|.  Either raises NonIntegralResult on a
+    remainder.  cache is a CharCache.  powers and maps are dicts that may
+    be shared across calls, with one cache path for both routes: powers
+    maps (mu, n) to the products keyed by rho, and maps (lam, mu, n) to the
+    Schur coefficients, or to the _p_expansion past POLY_MAX_ARITY rows.
     """
     lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
     if sum(lam) * sum(mu) != sum(nu):
@@ -484,17 +475,26 @@ def plethysm_coefficient(lam, mu, nu, cache=None, powers=None, maps=None):
         return 0 if lam else 1
     if cache is None:
         cache = CharCache()
-    if n > POLY_MAX_ARITY:
-        return _pleth_class_sum(lam, mu, nu, cache)
     key = (lam, mu, n)
     coeffs = maps.get(key) if maps is not None else None
     if coeffs is None:
         products = {} if powers is None else powers.setdefault((mu, n), {})
-        poly = _schur_at(lam, schur_poly_of_partition(mu, n), products, cache)
-        coeffs = schur_coefficients(poly, n)
+        if n > POLY_MAX_ARITY:
+            coeffs = _p_expansion(lam, mu, products, cache)
+        else:
+            poly = _schur_at(lam, schur_poly_of_partition(mu, n), products, cache)
+            coeffs = schur_coefficients(poly, n)
         if maps is not None:
             maps[key] = coeffs
-    return coeffs.get(nu, 0)
+    if n <= POLY_MAX_ARITY:
+        return coeffs.get(nu, 0)
+    row = char_row(nu, cache)
+    total = sum(c * row[i] for i, c in coeffs.items())
+    a, b = sum(lam), sum(mu)
+    q, rem = divmod(total, factorial(a) * factorial(b) ** a)
+    if rem:
+        raise NonIntegralResult(f"<s_{lam}[s_{mu}], s_{nu}> = {total}/({a}! {b}!^{a})")
+    return q
 
 
 def _alphabet_of(poly):

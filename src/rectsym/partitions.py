@@ -175,9 +175,11 @@ def count_ssyt(p, n):
 
     Hook content formula: prod over cells of (n + j - i) / hook(i, j), as
     one exact division; a remainder raises ArithmeticError.  p must be a
-    partition (trailing zeros allowed), else ValueError.
+    partition (trailing zeros allowed) and n nonnegative, else ValueError.
     """
     p = to_partition(p)
+    if n < 0:
+        raise ValueError(f"number of entries must be nonnegative, got {n}")
     top = bottom = 1
     for i, row in enumerate(hooks(p)):
         for j, h in enumerate(row):

@@ -295,10 +295,11 @@ def test_plethysm_against_evaluation_oracle():
 
 def test_plethysm_shared_caches_across_outer_weights():
     # one powers/maps pair serves calls whose lam grow in weight at the same
-    # (mu, n): the packed products cached by the first, lightest call must
-    # stay exact for the heavier ones
+    # (mu, n): the products cached by the first, lightest call must stay
+    # exact for the heavier ones, packed monomials up to three rows and the
+    # power sum basis at four
     cache, powers, maps = CharCache(), {}, {}
-    for n in (1, 2, 3):
+    for n in (1, 2, 3, 4):
         for mu in ((1,), (2,), (1, 1), (2, 1)):
             if len(mu) > n:
                 continue
@@ -312,6 +313,7 @@ def test_plethysm_shared_caches_across_outer_weights():
                         shared = plethysm_coefficient(lam, mu, nu, cache, powers, maps)
                         assert shared == plethysm_coefficient(lam, mu, nu), (lam, mu, nu)
                         assert shared == plethysm_oracle(lam, mu, nu), (lam, mu, nu)
+                        assert (mu, n) in powers and (lam, mu, n) in maps, (lam, mu, nu)
             if (mu, n) in powers:
                 assert len({sum(rho) for rho in powers[(mu, n)]}) > 2, (mu, n)
 

@@ -244,6 +244,17 @@ def test_count_ssyt_rejects_malformed_partitions():
         count_ssyt((2, -1), 3)
 
 
+def test_count_ssyt_counts_tableaux_down_to_no_entries():
+    # the hook content product turns negative factors into nonsense below
+    # n = 0, where there is no tableau to count
+    for w in range(6):
+        for p in partitions_of(w):
+            for n in range(5):
+                assert count_ssyt(p, n) == sum(1 for _ in iter_ssyt(p, n)), (p, n)
+            with pytest.raises(ValueError):
+                count_ssyt(p, -1)
+
+
 @given(partitions(max_weight=6), st.integers(1, 4))
 def test_count_ssyt_matches_enumeration(p, n):
     assert count_ssyt(p, n) == sum(1 for _ in iter_ssyt(p, n))
