@@ -6,7 +6,9 @@ can be played against each other:
   lr         lattice-word skew tableau count
   lr oracle  Racah-Speiser sum over the monomials of s_mu, each sorted against
              nu + delta (no polynomial product)
-  kron       exact integer character sum over the classes of S_n
+  kron       exact integer character sum over the classes of S_n, in the
+             lex-ascending order in which powersum builds the rows and the
+             class sizes by first-part blocks
   kron oracle  Garsia-Remmel sum: Jacobi-Trudi on s_lam in the h basis, each
                <h_alpha * s_mu, s_nu> a dynamic program over pairs of
                sub-partitions of (mu, nu) weighted by lattice-word LR counts
@@ -44,6 +46,9 @@ from .polyring import LaurentPoly
 from .powersum import (
     CharCache,
     NonIntegralResult,
+    _ascending,
+    _ascending_sizes,
+    _mask,
     char_row,
     class_index,
     class_sizes,
@@ -271,8 +276,12 @@ def kronecker_coefficient(lam, mu, nu, cache=None):
 
     Computed as the integer sum over cycle types rho of
     (n!/z_rho) chi^lam(rho) chi^mu(rho) chi^nu(rho), divided exactly by n!;
-    a remainder raises NonIntegralResult.  Each index must be a partition
-    (trailing zeros allowed), else ValueError.
+    a remainder raises NonIntegralResult.  The sum runs over the classes in
+    lex-ascending order, the order in which the block recursion builds both
+    the character rows (read from cache.strip) and the class sizes, and
+    multiplies each class size once, by the product of the three
+    characters.  Each index must be a partition (trailing zeros allowed),
+    else ValueError.
     """
     lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
     n = sum(lam)
@@ -280,9 +289,8 @@ def kronecker_coefficient(lam, mu, nu, cache=None):
         return 0
     if cache is None:
         cache = CharCache()
-    rows = {p: char_row(p, cache) for p in {lam, mu, nu}}
-    weighted = map(mul, class_sizes(n), rows[lam])
-    total = sum(map(mul, weighted, map(mul, rows[mu], rows[nu])))
+    a, b, c = (_ascending(_mask(p), n, n, cache.strip) for p in (lam, mu, nu))
+    total = sum(map(mul, _ascending_sizes(n, n), map(mul, a, map(mul, b, c))))
     g, rem = divmod(total, factorial(n))
     if rem:
         raise NonIntegralResult(f"g{(lam, mu, nu)} = {total}/{n}! is not an integer")

@@ -195,8 +195,11 @@ def iter_ssyt(shape, n, content=None):
     """Yield semistandard tableaux of the given shape, entries in 1..n.
 
     Tableaux come out as tuples of row tuples.  If content is given, only
-    tableaux with exactly content[v-1] copies of v are produced.
+    tableaux with exactly content[v-1] copies of v are produced.  n must be
+    nonnegative, else ValueError (raised when iteration starts).
     """
+    if n < 0:
+        raise ValueError(f"number of entries must be nonnegative, got {n}")
     if not shape:
         yield ()
         return

@@ -17,18 +17,24 @@ So block k of a shape's ascending row is the signed sum, over the shape's
 k-strips, of the first p(n - k, <= k) entries of the smaller shapes'
 ascending rows: one map(add) or map(sub) per strip over the whole block.
 
+Class sizes come by the same blocks: the classes with first part k are
+(k^j) + tau, for each multiplicity j and tau over the partitions of n - jk
+with parts < k, so no partition is ever listed (_ascending_sizes).
+
 A CharCache keeps each shape's ascending row as far as some call needed it
-and whole rows in partitions_of order.  It can be shared across many
-computations (a whole verification sweep, say); every function also works
-with a private one.
+(strip) and whole rows in partitions_of order (rows).  The Kronecker engine
+reads strip, in ascending order beside _ascending_sizes; char_row,
+char_value and both plethysm routes read rows.  A CharCache can be shared
+across many computations (a whole verification sweep, say); every function
+also works with a private one.
 """
 
 from bisect import bisect_left
 from functools import lru_cache
-from math import factorial
+from math import factorial, perm
 from operator import add, neg, sub
 
-from .partitions import partitions_of, to_partition
+from .partitions import to_partition
 
 
 class WeightMismatch(ValueError):
@@ -50,13 +56,6 @@ def zee(rho):
         prev = part
         out *= part * m
     return out
-
-
-@lru_cache(maxsize=None)
-def class_sizes(n):
-    """Conjugacy class sizes n!/z_rho of S_n, aligned with partitions_of(n)."""
-    total = factorial(n)
-    return tuple(total // zee(rho) for rho in partitions_of(n))
 
 
 @lru_cache(maxsize=None)
@@ -83,6 +82,50 @@ def class_index(rho):
 
 
 # ---------------------------------------------------------------------------
+# class sizes
+
+
+@lru_cache(maxsize=None)
+def _size_memo(n):
+    """The one list of class sizes of weight n that _ascending_sizes
+    extends, lex-ascending, in whole blocks of first parts."""
+    return [1] if n == 0 else []
+
+
+def _ascending_sizes(n, bound):
+    """n!/z_rho on the partitions of n with parts <= bound, lex-ascending:
+    the memo's list, extended block by block as far as bound; it may run on
+    past bound.  The classes with first part k, repeated exactly j times,
+    are (k^j) + tau for tau over the partitions of n - jk with parts < k,
+    and their sizes are those of tau in S_(n - jk) times the number of ways
+    to choose jk of n points and arrange them into j k-cycles."""
+    row = _size_memo(n)
+    counts = _bounded_counts(n)
+    if len(row) >= counts[bound]:
+        return row
+    # the blocks 1 .. done are already in row
+    done = bisect_left(counts, len(row))
+    for k in range(done + 1, bound + 1):
+        for j in range(1, n // k + 1):
+            rest = n - j * k
+            below = min(k - 1, rest)
+            cycles = perm(n, j * k) // (k**j * factorial(j))
+            sizes = _ascending_sizes(rest, below)
+            row += map(cycles.__mul__, sizes[: _bounded_counts(rest)[below]])
+    return row
+
+
+@lru_cache(maxsize=None)
+def class_sizes(n):
+    """Conjugacy class sizes n!/z_rho of S_n, aligned with partitions_of(n):
+    the block-built ascending list reversed.  n must be nonnegative, else
+    ValueError."""
+    if n < 0:
+        raise ValueError(f"weight must be nonnegative, got {n}")
+    return tuple(reversed(_ascending_sizes(n, n)))
+
+
+# ---------------------------------------------------------------------------
 # characters
 
 
@@ -92,8 +135,10 @@ class CharCache:
     strip maps each canonical bead mask to the shape's character on the
     partitions of its weight in lex-ascending order, as far as the largest
     part bound any call asked of it: whole blocks, never part of one.  The
-    empty shape holds the one value chi^() = 1.  rows maps a partition to
-    its whole character row in partitions_of order.
+    empty shape holds the one value chi^() = 1.  The recursion and
+    coefficients.kronecker_coefficient read it.  rows maps a partition to
+    its whole character row in partitions_of order, as char_row returns
+    it; char_value and the plethysm routes read it through char_row.
     """
 
     def __init__(self):

@@ -5,6 +5,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rectsym import coefficients, partitions, powersum
 from rectsym.coefficients import (
     PACK_BITS,
     ArityTooSmall,
@@ -20,7 +21,7 @@ from rectsym.coefficients import (
 )
 from rectsym.partitions import conjugate, contains, partitions_of
 from rectsym.polyring import LaurentPoly
-from rectsym.powersum import CharCache, NonIntegralResult, char_row
+from rectsym.powersum import CharCache, NonIntegralResult, _ascending, _mask, char_row
 
 
 def test_lr_pieri_row():
@@ -139,9 +140,11 @@ def test_kronecker_weight_mismatch():
 
 
 def test_kronecker_non_integral_sum_raises():
+    # the engine reads the lex-ascending rows of the strip memo: doctor
+    # chi^(2,1) at the class (3), the last of (1,1,1), (2,1), (3)
     cache = CharCache()
-    row = char_row((2, 1), cache)
-    cache.rows[(2, 1)] = (row[0] + 1,) + row[1:]
+    row = _ascending(_mask((2, 1)), 3, 3, cache.strip)
+    row[-1] += 1
     with pytest.raises(NonIntegralResult):
         kronecker_coefficient((2, 1), (2, 1), (2, 1), cache)
 
@@ -179,6 +182,36 @@ def test_kronecker_matches_garsia_remmel_oracle_past_criterion_2(data):
     lam, mu, nu = (data.draw(st.sampled_from(partitions_of(w))) for _ in range(3))
     got = kronecker_oracle(lam, mu, nu, len(lam), len(mu))
     assert got == kronecker_coefficient(lam, mu, nu)
+
+
+@pytest.mark.parametrize("w", [12, 14])
+def test_kronecker_matches_oracle_table_in_overlap_band(w):
+    # every triple with lam of at most 2 rows and mu, nu of at most 3, at
+    # weights above criterion 2's 7 where the oracle tables still fill fast
+    cache = CharCache()
+    for nu in partitions_of(w, 3):
+        table = kronecker_oracle_table(nu, 2, 3)
+        for lam in partitions_of(w, 2):
+            for mu in partitions_of(w, 3):
+                got = kronecker_coefficient(lam, mu, nu, cache)
+                assert got == table.get((lam, mu), 0), (lam, mu, nu)
+
+
+def test_kronecker_enumerates_no_partitions(monkeypatch):
+    # the character rows and the class sizes both come from first-part
+    # blocks, so no list of partitions is built, at weights 20 and 30; g is
+    # symmetric in its arguments, and the oracle is fastest on (10^3) first
+    def enumerate_partitions(*args):
+        raise AssertionError("partitions_of called")
+
+    cases = [((4,) * 5, (4,) * 5, (4,) * 5, 6), ((6,) * 5, (10,) * 3, (5,) * 6, 5)]
+    for lam, mu, nu, g in cases:
+        assert kronecker_oracle(mu, lam, nu, len(mu), len(lam)) == g
+    for module in (partitions, powersum, coefficients):
+        monkeypatch.setattr(module, "partitions_of", enumerate_partitions, raising=False)
+    powersum._size_memo.cache_clear()
+    for lam, mu, nu, g in cases:
+        assert kronecker_coefficient(lam, mu, nu) == g
 
 
 @pytest.mark.parametrize("l,m", [(2, 3), (3, 2), (1, 4)])

@@ -255,6 +255,15 @@ def test_count_ssyt_counts_tableaux_down_to_no_entries():
                 count_ssyt(p, -1)
 
 
+def test_iter_ssyt_rejects_negative_entry_count():
+    # as count_ssyt does: below n = 0 there is no tableau to enumerate, not
+    # even the empty one
+    for shape in ((), (2, 1)):
+        with pytest.raises(ValueError):
+            list(iter_ssyt(shape, -1))
+    assert list(iter_ssyt((), 0)) == [()]
+
+
 @given(partitions(max_weight=6), st.integers(1, 4))
 def test_count_ssyt_matches_enumeration(p, n):
     assert count_ssyt(p, n) == sum(1 for _ in iter_ssyt(p, n))

@@ -64,6 +64,18 @@ def test_class_sizes_aligned_with_partitions_of():
     assert class_sizes(3) == (2, 3, 1)
 
 
+def test_class_sizes_by_blocks_match_centralizer_orders():
+    # built by first-part blocks, with no partition enumerated
+    for n in range(31):
+        want = tuple(factorial(n) // zee(rho) for rho in partitions_of(n))
+        assert class_sizes(n) == want, n
+
+
+def test_class_sizes_rejects_negative_weight():
+    with pytest.raises(ValueError):
+        class_sizes(-1)
+
+
 def test_char_table_s3():
     # rows indexed by lam, columns by partitions_of(3) = (3), (2,1), (1,1,1)
     assert char_row((3,)) == (1, 1, 1)
