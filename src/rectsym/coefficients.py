@@ -6,18 +6,17 @@ can be played against each other:
   lr         lattice-word skew tableau count
   lr oracle  Racah-Speiser sum over the monomials of s_mu, each sorted against
              nu + delta (no polynomial product)
-  kron       exact integer character sum over the classes of S_n, in the
-             lex-ascending order in which powersum builds the rows and the
-             class sizes by first-part blocks
+  kron       exact integer character sum over the classes of S_n, rows
+             and class sizes in powersum's one (lex-ascending) order
   kron oracle  Garsia-Remmel sum: Jacobi-Trudi on s_lam in the h basis, each
                <h_alpha * s_mu, s_nu> a dynamic program over pairs of
                sub-partitions of (mu, nu) weighted by lattice-word LR counts
-  pleth      one integer class sum of s_lam[s_mu] with a factor per route:
-             length(nu) <= 3, s_mu(x^k) on packed-integer monomials read
-             with schur_coefficients; longer nu, the power sum basis paired
-             with chi^nu over |lam|! |mu|!^|lam| (each route is the faster
-             one at its arities, see POLY_MAX_ARITY); products cached per
-             (mu, n), expansions per (lam, mu, n)
+  pleth      one integer class sum of s_lam[s_mu], in that order, with a
+             factor per route: length(nu) <= 3, s_mu(x^k) on packed-integer
+             monomials read with schur_coefficients; longer nu, the power
+             sum basis paired with chi^nu over |lam|! |mu|!^|lam| (see
+             POLY_MAX_ARITY); products cached per (mu, n), expansions per
+             (lam, mu, n)
   pleth oracle  Jacobi-Trudi determinant over h or e evaluated on the
                monomials of the inner Schur polynomial, read with
                schur_coefficients
@@ -46,12 +45,9 @@ from .polyring import LaurentPoly
 from .powersum import (
     CharCache,
     NonIntegralResult,
-    _ascending,
     _ascending_sizes,
-    _mask,
-    char_row,
-    class_index,
-    class_sizes,
+    _position,
+    _row,
 )
 from .schur import (
     delta,
@@ -177,19 +173,24 @@ def _unpack_key(key, n):
     return tuple((key >> (PACK_BITS * i)) & mask for i in range(n))
 
 
+def _weighted_classes(lam, cache):
+    """(rho, (N!/z_rho) chi^lam(rho)) over the cycle types rho of N = |lam|
+    where chi^lam is nonzero, lex-ascending."""
+    N = sum(lam)
+    classes = zip(reversed(partitions_of(N)), _ascending_sizes(N, N), _row(lam, cache))
+    return [(rho, size * chi) for rho, size, chi in classes if chi]
+
+
 def _class_sum(lam, cache, products, factor):
     """{key: sum over cycle types rho of (N!/z_rho) chi^lam(rho)
     [key] prod_i F(rho_i)}, with N = |lam|, where factor(k, rest) is F(k)
     times the dict rest.  products memoises the products prod_i F(rho_i)
     by suffix of rho and holds the empty product at ()."""
-    N = sum(lam)
     acc = {}
     get = acc.get
-    for rho, size, chi in zip(partitions_of(N), class_sizes(N), char_row(lam, cache)):
-        if chi:
-            w = size * chi
-            for key, c in _product(rho, products, factor).items():
-                acc[key] = get(key, 0) + w * c
+    for rho, w in _weighted_classes(lam, cache):
+        for key, c in _product(rho, products, factor).items():
+            acc[key] = get(key, 0) + w * c
     return acc
 
 
@@ -201,7 +202,7 @@ def _product(rho, products, factor):
     return out
 
 
-def _schur_at(lam, g, products, cache=None):
+def _schur_at(lam, g, products, cache):
     """s_lam evaluated at the monomials of the polynomial g: the class sum
     with F(k) = g(x^k), divided exactly by N! = |lam|!; a remainder raises
     NonIntegralResult.  The sum runs on packed monomials (_pack, ValueError
@@ -235,17 +236,13 @@ def _schur_at(lam, g, products, cache=None):
 
 
 def _p_expansion(lam, mu, products, cache):
-    """a! b!^a s_lam[s_mu] as {class_index(tau): coefficient of p_tau},
+    """a! b!^a s_lam[s_mu] as {_position(tau): coefficient of p_tau},
     with a = |lam| and b = |mu|: the class sum with F(k) = b!^(k-1) G[p_k],
     where G = sum_sigma (b!/z_sigma) chi^mu(sigma) p_sigma = b! s_mu (the
     factors b!^(rho_i - 1) make up b!^(a - length(rho))).  products, keyed
     by cycle type, serves one mu and may be shared by calls with any lam."""
     b = sum(mu)
-    g = [
-        (sigma, size * chi)
-        for sigma, size, chi in zip(partitions_of(b), class_sizes(b), char_row(mu, cache))
-        if chi
-    ]
+    g = _weighted_classes(mu, cache)
     products.setdefault((), {(): 1})
 
     def factor(k, rest):
@@ -260,11 +257,8 @@ def _p_expansion(lam, mu, products, cache):
                 out[key] = get(key, 0) + c * d
         return out
 
-    return {
-        class_index(tau): c
-        for tau, c in _class_sum(lam, cache, products, factor).items()
-        if c
-    }
+    expansion = _class_sum(lam, cache, products, factor)
+    return {_position(tau): c for tau, c in expansion.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +272,9 @@ def kronecker_coefficient(lam, mu, nu, cache=None):
     (n!/z_rho) chi^lam(rho) chi^mu(rho) chi^nu(rho), divided exactly by n!;
     a remainder raises NonIntegralResult.  The sum runs over the classes in
     lex-ascending order, the order in which the block recursion builds both
-    the character rows (read from cache.strip) and the class sizes, and
-    multiplies each class size once, by the product of the three
-    characters.  Each index must be a partition (trailing zeros allowed),
-    else ValueError.
+    the character rows (read with _row) and the class sizes, and multiplies
+    each class size once, by the product of the three characters.  Each
+    index must be a partition (trailing zeros allowed), else ValueError.
     """
     lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
     n = sum(lam)
@@ -289,7 +282,7 @@ def kronecker_coefficient(lam, mu, nu, cache=None):
         return 0
     if cache is None:
         cache = CharCache()
-    a, b, c = (_ascending(_mask(p), n, n, cache.strip) for p in (lam, mu, nu))
+    a, b, c = (_row(p, cache) for p in (lam, mu, nu))
     total = sum(map(mul, _ascending_sizes(n, n), map(mul, a, map(mul, b, c))))
     g, rem = divmod(total, factorial(n))
     if rem:
@@ -496,7 +489,7 @@ def plethysm_coefficient(lam, mu, nu, cache=None, powers=None, maps=None):
             maps[key] = coeffs
     if n <= POLY_MAX_ARITY:
         return coeffs.get(nu, 0)
-    row = char_row(nu, cache)
+    row = _row(nu, cache)
     total = sum(c * row[i] for i, c in coeffs.items())
     a, b = sum(lam), sum(mu)
     q, rem = divmod(total, factorial(a) * factorial(b) ** a)

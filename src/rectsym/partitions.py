@@ -7,7 +7,7 @@ complement produces before any trailing zeros are stripped.
 """
 
 from functools import lru_cache
-from operator import ge
+from operator import ge, index
 
 
 class LengthExceedsBox(ValueError):
@@ -23,8 +23,15 @@ def is_weakly_decreasing(seq):
 
 
 def to_partition(seq):
-    """Canonicalize seq: strip trailing zeros, check partition conditions."""
+    """Canonicalize seq: int parts (by operator.index, so a float raises
+    ValueError), trailing zeros stripped, partition conditions checked."""
     seq = tuple(seq)
+    try:
+        # an int sum means int parts: a float or Fraction part makes it one
+        if type(sum(seq)) is not int:
+            seq = tuple(map(index, seq))
+    except TypeError:
+        raise ValueError(f"parts must be integers: {seq}") from None
     while seq and seq[-1] == 0:
         seq = seq[:-1]
     if not is_weakly_decreasing(seq):

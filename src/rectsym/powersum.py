@@ -1,4 +1,4 @@
-"""Symmetric group characters and conjugacy class sizes.
+"""Symmetric group characters and conjugacy class sizes, in one class order.
 
 Characters come from the Murnaghan-Nakayama border-strip recursion on bead
 masks.  A partition lam with L rows is the int whose set bits are its beta
@@ -9,24 +9,20 @@ strip's sign is the parity of the beads strictly between b - k and b.  Beads
 at positions 0, 1, ... stand for zero rows; shifting them off makes the mask
 canonical, so shapes that differ only in zero rows share memo entries.
 
-The recursion fills a row one block of classes at a time.  Read backwards,
-partitions_of(n) is lex-ascending: the partitions of n with parts <= b are
-its first p(n, <= b) entries, and those with first part k form one block,
-(k,) + sigma for sigma over the first p(n - k, <= k) partitions of n - k.
-So block k of a shape's ascending row is the signed sum, over the shape's
-k-strips, of the first p(n - k, <= k) entries of the smaller shapes'
-ascending rows: one map(add) or map(sub) per strip over the whole block.
+Rows and class sizes have one order, lex-ascending: partitions_of(n) read
+backwards, where cycle type rho sits at _position(rho).  There the
+partitions of n with parts <= b come first, p(n, <= b) of them, and those
+with first part k form one block, (k,) + sigma for sigma over the first
+p(n - k, <= k) partitions of n - k.  So block k of a shape's row is the
+signed sum, over its k-strips, of the smaller shapes' rows on that range,
+one map(add) or map(sub) per strip.  Class sizes come by the same blocks:
+the classes with first part k are (k^j) + tau, tau over the partitions of
+n - jk with parts < k, so no partition is ever listed (_ascending_sizes).
 
-Class sizes come by the same blocks: the classes with first part k are
-(k^j) + tau, for each multiplicity j and tau over the partitions of n - jk
-with parts < k, so no partition is ever listed (_ascending_sizes).
-
-A CharCache keeps each shape's ascending row as far as some call needed it
-(strip) and whole rows in partitions_of order (rows).  The Kronecker engine
-reads strip, in ascending order beside _ascending_sizes; char_row,
-char_value and both plethysm routes read rows.  A CharCache can be shared
-across many computations (a whole verification sweep, say); every function
-also works with a private one.
+A CharCache holds each shape's row by bead mask (strip) and indexes whole
+rows by partition (rows), with no copies.  _row is every engine's reader;
+char_row, char_value and class_sizes adapt it to partitions_of order.  A
+CharCache may serve a whole verification sweep, or one call.
 """
 
 from bisect import bisect_left
@@ -68,17 +64,16 @@ def _bounded_counts(n):
     return tuple(counts)
 
 
-def class_index(rho):
-    """Position of the cycle type rho in partitions_of(sum(rho)), counted
-    from partitions with bounded parts.  rho must be a partition (weakly
-    decreasing, positive parts); it is not validated."""
-    n = rest = sum(rho)
-    ascending = 0
+def _position(rho):
+    """Place of the partition rho (not validated) in the lex-ascending order
+    of its weight, counted from partitions with bounded parts."""
+    rest = sum(rho)
+    place = 0
     for part in rho:
         # the partitions of rest below part in the first place come before
-        ascending += _bounded_counts(rest)[part - 1]
+        place += _bounded_counts(rest)[part - 1]
         rest -= part
-    return _bounded_counts(n)[n] - 1 - ascending
+    return place
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +110,6 @@ def _ascending_sizes(n, bound):
     return row
 
 
-@lru_cache(maxsize=None)
 def class_sizes(n):
     """Conjugacy class sizes n!/z_rho of S_n, aligned with partitions_of(n):
     the block-built ascending list reversed.  n must be nonnegative, else
@@ -130,15 +124,14 @@ def class_sizes(n):
 
 
 class CharCache:
-    """Shared memo for the block recursion plus whole character rows.
+    """Shared memo of the block recursion, with a partition index into it.
 
     strip maps each canonical bead mask to the shape's character on the
     partitions of its weight in lex-ascending order, as far as the largest
     part bound any call asked of it: whole blocks, never part of one.  The
-    empty shape holds the one value chi^() = 1.  The recursion and
-    coefficients.kronecker_coefficient read it.  rows maps a partition to
-    its whole character row in partitions_of order, as char_row returns
-    it; char_value and the plethysm routes read it through char_row.
+    empty shape holds the one value chi^() = 1.  rows[lam] is
+    strip[_mask(lam)] itself, built whole by _row: a warm read is one dict
+    hit, and the index holds no copy.
     """
 
     def __init__(self):
@@ -192,32 +185,33 @@ def _ascending(m, n, bound, strip):
     return row
 
 
+def _row(lam, cache):
+    """chi^lam on every partition of |lam|, lex-ascending: cache.rows[lam].
+    lam must be a partition; it is not validated."""
+    row = cache.rows.get(lam)
+    if row is None:
+        n = sum(lam)
+        row = cache.rows[lam] = _ascending(_mask(lam), n, n, cache.strip)
+    return row
+
+
 def char_value(lam, rho, cache=None):
     """Character of the symmetric group: chi^lam evaluated on cycle type rho,
-    read off the row of lam at class_index(rho).  lam must be a partition
-    (trailing zeros allowed) and rho must have positive parts, else
+    read off the row of lam at _position(rho).  lam must be a partition
+    (trailing zeros allowed) and rho must have positive integer parts, else
     ValueError."""
     lam = to_partition(lam)
     rho = tuple(sorted(rho, reverse=True))
     if rho and rho[-1] <= 0:
         raise ValueError(f"cycle type with a non-positive part: {rho}")
+    rho = to_partition(rho)
     if sum(lam) != sum(rho):
         raise WeightMismatch(f"|{lam}| != |{rho}|")
-    return char_row(lam, cache)[class_index(rho)]
+    return _row(lam, CharCache() if cache is None else cache)[_position(rho)]
 
 
 def char_row(lam, cache=None):
     """chi^lam on every cycle type of its weight, aligned with partitions_of.
     lam must be a partition (trailing zeros allowed), else ValueError."""
-    lam = tuple(lam)
-    if cache is None:
-        cache = CharCache()
-    else:
-        row = cache.rows.get(lam)
-        if row is not None:
-            return row
     lam = to_partition(lam)
-    n = sum(lam)
-    row = tuple(reversed(_ascending(_mask(lam), n, n, cache.strip)))
-    cache.rows[lam] = row
-    return row
+    return tuple(reversed(_row(lam, CharCache() if cache is None else cache)))

@@ -105,14 +105,18 @@ def schur_poly(lam, n):
     return _divide_by_vandermonde(num, n)
 
 
-@lru_cache(maxsize=None)
 def schur_poly_of_partition(p, n):
     """s_p in n variables for a partition p (trailing zeros allowed), as the
     tableau monomial sum: one x^(content of T) per semistandard tableau T of
     shape p with entries in 1..n.  Zero when p has more than n rows; a p that
-    is not a partition raises ValueError.
+    is not a partition raises ValueError, before the memo sees it.
     """
-    p = to_partition(p)
+    return _tableau_sum(to_partition(p), n)
+
+
+@lru_cache(maxsize=None)
+def _tableau_sum(p, n):
+    """schur_poly_of_partition on a partition p, memoised."""
     out = {}
     if len(p) <= n:
         for tab in iter_ssyt(p, n):

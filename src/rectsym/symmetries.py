@@ -337,7 +337,8 @@ def apply_rule(rule, indices, l=None, m=None, n=None, k=None):
     for name in spec.params:
         value = supplied[name]
         _require(value is not None, rule, f"parameter {name} is required")
-        params[name] = int(value)
+        _require(isinstance(value, int), rule, f"parameter {name} must be an integer")
+        params[name] = value
     indices = _partitions(rule, family, indices)
     floors = spec.floors(*indices)
     for name, floor in floors.items():
@@ -361,7 +362,7 @@ class SweepBounds:
     amount.  max_image_weight caps the weight of the image coefficient, and
     is consulted only by the plethysm rules, whose images otherwise grow far
     beyond what exact verification can afford; capped-out instances are
-    counted as skipped.  A negative field raises ValueError.
+    counted as skipped.  Each field must be a nonnegative int, else ValueError.
     """
 
     max_weight: int = 6
@@ -371,8 +372,8 @@ class SweepBounds:
 
     def __post_init__(self):
         for name, value in asdict(self).items():
-            if value < 0:
-                raise ValueError(f"{name} must be nonnegative, got {value}")
+            if not isinstance(value, int) or value < 0:
+                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 class SweepContext:

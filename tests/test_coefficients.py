@@ -149,6 +149,31 @@ def test_kronecker_non_integral_sum_raises():
         kronecker_coefficient((2, 1), (2, 1), (2, 1), cache)
 
 
+def test_warm_kronecker_call_computes_no_bead_mask(monkeypatch):
+    # the second call reads its three rows from cache.rows by partition
+    cache = CharCache()
+    triple = ((3, 2), (2, 2, 1), (4, 1))
+    g = kronecker_coefficient(*triple, cache)
+
+    def no_mask(lam):
+        raise AssertionError("bead mask computed on a warm call")
+
+    for module in (powersum, coefficients):
+        monkeypatch.setattr(module, "_mask", no_mask, raising=False)
+    assert kronecker_coefficient(*triple, cache) == g == 1
+
+
+def test_rows_index_the_strip_memo_without_copies():
+    # every row an engine read is the strip memo's own list, in one order
+    cache = CharCache()
+    kronecker_coefficient((3, 2), (2, 2, 1), (4, 1), cache)
+    assert plethysm_coefficient((2,), (1, 1), (1, 1, 1, 1), cache) == 1
+    read = {(3, 2), (2, 2, 1), (4, 1), (2,), (1, 1), (1, 1, 1, 1)}
+    assert set(cache.rows) == read
+    for lam, row in cache.rows.items():
+        assert row is cache.strip[_mask(lam)], lam
+
+
 def test_kronecker_rejects_malformed_indices():
     with pytest.raises(ValueError):
         kronecker_coefficient((2, 1), (2, 1), (1, 2))

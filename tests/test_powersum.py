@@ -7,9 +7,9 @@ from rectsym.partitions import conjugate, hooks, partitions_of
 from rectsym.polyring import LaurentPoly
 from rectsym.powersum import (
     CharCache,
+    _position,
     char_row,
     char_value,
-    class_index,
     class_sizes,
     zee,
 )
@@ -111,10 +111,11 @@ def test_char_dimension_column_at_weight_20():
         assert char_row(lam, cache)[-1] == dim(lam), lam
 
 
-def test_class_index_is_position_in_partitions_of():
+def test_position_is_place_in_ascending_partitions():
+    # the one class order every engine reads: partitions_of backwards
     for n in range(21):
-        for i, rho in enumerate(partitions_of(n)):
-            assert class_index(rho) == i, rho
+        for i, rho in enumerate(reversed(partitions_of(n))):
+            assert _position(rho) == i, rho
 
 
 def test_char_value_is_row_entry_at_every_class():

@@ -6,10 +6,18 @@ import json
 import pytest
 
 from rectsym import symmetries
-from rectsym.coefficients import kronecker_coefficient, lr_coefficient, plethysm_coefficient
-from rectsym.hall_littlewood import kostka_foulkes
-from rectsym.partitions import count_ssyt, partitions_of, translated_partition
-from rectsym.powersum import WeightMismatch
+from rectsym.coefficients import (
+    kronecker_coefficient,
+    kronecker_oracle,
+    lr_coefficient,
+    lr_coefficient_oracle,
+    plethysm_coefficient,
+    plethysm_oracle,
+)
+from rectsym.hall_littlewood import kostka_foulkes, kostka_foulkes_oracle
+from rectsym.partitions import count_ssyt, partitions_of, to_partition, translated_partition
+from rectsym.powersum import WeightMismatch, char_row, char_value
+from rectsym.schur import schur_poly_of_partition
 from rectsym.symmetries import (
     FAMILY_OF,
     RULE_NAMES,
@@ -650,3 +658,44 @@ def test_entry_points_reject_malformed_partitions_alike(arity, call, bad, messag
         with pytest.raises(ValueError, match=message):
             call(indices, ctx)
     assert not any((ctx.lr, ctx.kf, ctx.kron, ctx.pleth, ctx.maps, ctx.powers))
+
+
+class _Int(int):
+    """An int subclass, which operator.index passes through."""
+
+
+def _integer_reading_calls():
+    """One param per public entry point that reads an integer: call(x), with
+    x a part of a partition, a rule parameter or a sweep bound."""
+    calls = [
+        ("to_partition", lambda x: to_partition((x, 1))),
+        ("lr_coefficient", lambda x: lr_coefficient((x,), (1,), (3,))),
+        ("lr_coefficient_oracle", lambda x: lr_coefficient_oracle((x,), (1,), (3,))),
+        ("kronecker_coefficient", lambda x: kronecker_coefficient((x,), (2,), (2,))),
+        ("kronecker_oracle", lambda x: kronecker_oracle((x,), (2,), (2,), 1, 1)),
+        ("plethysm_coefficient", lambda x: plethysm_coefficient((x,), (1,), (2,))),
+        ("plethysm_oracle", lambda x: plethysm_oracle((x,), (1,), (2,))),
+        ("kostka_foulkes", lambda x: kostka_foulkes((x,), (2,))),
+        ("kostka_foulkes_oracle", lambda x: kostka_foulkes_oracle((x,), (2,))),
+        ("coefficient_of", lambda x: coefficient_of("kron", ((x,), (2,), (2,)))),
+        ("apply_rule-index", lambda x: apply_rule("kf-translate", ((x,), (x,)), n=1, k=1)),
+        ("apply_rule-parameter", lambda x: apply_rule("kf-translate", ((2,), (2,)), n=1, k=x)),
+        ("SweepBounds", lambda x: SweepBounds(max_weight=x)),
+        ("char_row", lambda x: char_row((x,))),
+        ("char_value-shape", lambda x: char_value((x,), (2,))),
+        ("char_value-class", lambda x: char_value((2,), (x,))),
+        ("count_ssyt", lambda x: count_ssyt((x,), 2)),
+        ("schur_poly_of_partition", lambda x: schur_poly_of_partition((x,), 2)),
+    ]
+    return [pytest.param(call, id=name) for name, call in calls]
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.5], ids=["integral-float", "fraction"])
+@pytest.mark.parametrize("call", _integer_reading_calls())
+def test_entry_points_reject_non_integers_alike(call, bad):
+    # an int and an int subclass pass, and warm any memo the call keeps, so
+    # a float equal to 2 is refused before a memo could answer for it
+    call(2)
+    call(_Int(2))
+    with pytest.raises(ValueError, match="integer"):
+        call(bad)
