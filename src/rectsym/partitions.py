@@ -41,6 +41,15 @@ def to_partition(seq):
     return seq
 
 
+def to_count(n):
+    """A variable or entry count n as an int, by operator.index, so a float
+    raises ValueError as a float part does in to_partition."""
+    try:
+        return index(n)
+    except TypeError:
+        raise ValueError(f"a count must be an integer, got {n!r}") from None
+
+
 def is_partition(seq):
     seq = tuple(seq)
     return is_weakly_decreasing(seq) and (not seq or seq[-1] >= 0)
@@ -67,10 +76,18 @@ def format_partition(p):
 
 
 def conjugate(p):
-    """Transpose the diagram.  p must be a partition; it is not validated."""
-    if not p:
-        return ()
-    return tuple(sum(1 for a in p if a > j) for j in range(p[0]))
+    """Transpose the diagram.  p must be a partition; it is not validated.
+
+    One walk up the rows: the columns that row i (counting from 1) has and
+    the rows below it lack are i rows tall.  So conjugate(p)[0] == len(p) and
+    len(conjugate(p)) == p[0]; a caller that needs only a first part or a
+    length of a conjugate reads it off p without calling this."""
+    out = []
+    rows = len(p)
+    for a in reversed(p):
+        out += [rows] * (a - len(out))
+        rows -= 1
+    return tuple(out)
 
 
 def contains(outer, inner):
@@ -116,14 +133,20 @@ def complement_partition(p, k, n):
 
 def translated_partition(p, k, n):
     """p + (k^n) when that is a partition, else None.  p must be a
-    partition; it is not validated."""
-    raw = tuple(a + k for a in p[:n]) + (k,) * (n - len(p)) + p[n:]
-    if not is_weakly_decreasing(raw) or (raw and raw[-1] < 0):
-        return None
-    end = len(raw)
-    while end and raw[end - 1] == 0:
-        end -= 1
-    return raw[:end]
+    partition; it is not validated.
+
+    The first n rows move together and stay weakly decreasing, so only two
+    places can fail: the seam p_n + k >= p_{n+1} when n < len(p), and the
+    sign of the last part, which is k itself when n > len(p)."""
+    if n < len(p):
+        if n and p[n - 1] + k < p[n]:
+            return None
+        return tuple(a + k for a in p[:n]) + p[n:]
+    out = tuple(a + k for a in p) + (k,) * (n - len(p))
+    if not out or out[-1] > 0:
+        return out
+    # the rows that reach 0 are the trailing ones; drop them
+    return None if out[-1] < 0 else tuple(a for a in out if a)
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +205,11 @@ def count_ssyt(p, n):
 
     Hook content formula: prod over cells of (n + j - i) / hook(i, j), as
     one exact division; a remainder raises ArithmeticError.  p must be a
-    partition (trailing zeros allowed) and n nonnegative, else ValueError.
+    partition (trailing zeros allowed) and n a nonnegative integer, else
+    ValueError.
     """
     p = to_partition(p)
+    n = to_count(n)
     if n < 0:
         raise ValueError(f"number of entries must be nonnegative, got {n}")
     top = bottom = 1

@@ -29,9 +29,10 @@ Rule names and what they transform:
   kf-translate(n, k)           both translated by (k^n)
 
 Weight reduction has one planning tail, _plan.  A family plans by listing its
-conjugation-plus-complement candidates and registering its planner in
-PLANNERS; the tail picks the lightest, builds the chain and the report, and
-applies the complement on partitions the planner built.
+conjugation-plus-complement candidates, scored from first parts and lengths,
+and registering its planner in PLANNERS; the tail picks the lightest, builds
+the chain and the report, and conjugates the winner's triple and applies the
+complement to it.
 """
 
 import os
@@ -48,6 +49,7 @@ from .partitions import (
     count_ssyt,
     fits_in_box,
     partitions_of,
+    to_count,
     to_partition,
     translated_partition,
 )
@@ -129,7 +131,8 @@ def _tableau_count(mu, n):
 def tableau_ratio(mu, n):
     """q = r|mu|/n, r the number of tableaux of shape mu with entries <= n;
     integral by the degree count over the tableau monomials of s_mu in n
-    variables.  A malformed mu or n <= 0 raises ValueError."""
+    variables.  A malformed mu, a non-integer n or n <= 0 raises ValueError."""
+    n = to_count(n)
     if n <= 0:
         raise ValueError("n must be positive")
     return _tableau_count(to_partition(mu), n)[1]
@@ -677,21 +680,23 @@ class ReductionReport:
 
 def _plan(family, original, weight, candidates, options, rule):
     """The tail every planner shares.  candidates[i] scores one pattern (its
-    "applicable" defaults to true) and options[i] = (conjugated argument
-    names, triple, params) realises it: the conjugated original as
-    partitions, and rule's parameters by name, at or above their floors when
-    the candidate is applicable.  The first applicable candidate of least
-    weight wins; unless it is strictly below weight the chain is the
-    identity."""
+    "applicable" defaults to true) and options[i] = (flips, params) realises
+    it: the names of the arguments to conjugate, and rule's parameters by
+    name, at or above their floors when the candidate is applicable.  A
+    planner scores every pattern from first parts and lengths alone, since
+    the first part of a conjugate is the length of the partition; the
+    conjugated triple is built here, for the winner only, and only when the
+    reduction is taken.  The first applicable candidate of least weight
+    wins; unless it is strictly below weight the chain is the identity."""
     usable = [i for i, c in enumerate(candidates) if c.get("applicable", True)]
     best = min(usable, key=lambda i: candidates[i]["weight"], default=None)
     if best is None or candidates[best]["weight"] >= weight:
         return ReductionReport(
             family, original, [], original, weight, weight, candidates
         )
-    flips, triple, params = options[best]
+    flips, params = options[best]
     chain = [{"op": "conjugate", "arguments": list(flips)}] if flips else []
-    image = _apply(rule, triple, params)
+    image = _apply(rule, _conjugated(original, flips), params)
     verdict = "vanishes" if image is None else "transformed"
     chain.append({"op": "complement", "rule": rule, **params, "verdict": verdict})
     after = None if image is None else candidates[best]["weight"]
@@ -714,24 +719,32 @@ def reduce_kronecker(lam, mu, nu):
 
     Conjugating two of the three arguments preserves the coefficient, and the
     box complement with the smallest legal boxes (first parts of the possibly
-    conjugated partitions) lands at weight l*m*n - N.  The planner scores the
-    four conjugation patterns and keeps the best strictly-below-N result; when
-    none helps, it returns the identity chain.  A complement whose containment
-    test fails proves the coefficient is zero.
+    conjugated partitions) lands at weight l*m*n - N.  A conjugate's first
+    part is the partition's length, so every box side is a first part or a
+    length of an argument: the pattern that conjugates mu and nu has boxes
+    (lam_1, len(mu), len(nu)), and so on.  The planner scores the four
+    conjugation patterns and keeps the best strictly-below-N result; when
+    none helps, it returns the identity chain.  A complement whose
+    containment test fails proves the coefficient is zero.
     """
     lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
     weight = sum(lam)
     if not (sum(mu) == weight == sum(nu)):
         raise WeightMismatch("Kronecker indices must share one weight")
     original = (lam, mu, nu)
+    a, b, c = _first(lam), _first(mu), _first(nu)
+    la, lb, lc = len(lam), len(mu), len(nu)
     candidates, options = [], []
-    for flips in ((), ("mu", "nu"), ("lambda", "nu"), ("lambda", "mu")):
-        triple = _conjugated(original, flips)
-        l, m, n = (_first(p) for p in triple)
+    for flips, l, m, n in (
+        ((), a, b, c),
+        (("mu", "nu"), a, lb, lc),
+        (("lambda", "nu"), la, b, lc),
+        (("lambda", "mu"), la, lb, c),
+    ):
         candidates.append(
             {"conjugate": list(flips), "boxes": [l, m, n], "weight": l * m * n - weight}
         )
-        options.append((flips, triple, {"l": l, "m": m, "n": n}))
+        options.append((flips, {"l": l, "m": m, "n": n}))
     return _plan("kronecker", original, weight, candidates, options, "kron-box")
 
 
@@ -740,9 +753,10 @@ def reduce_plethysm(lam, mu, nu):
 
     The identity pattern complements mu in mu_1 x length(nu); the conjugate
     pattern first conjugates mu and nu (and lam too when |mu| is odd, which
-    preserves the coefficient) and then complements.  Each pattern needs the
-    inner length to fit under the outer length; when mu is too long for nu
-    in both patterns the coefficient is zero outright.
+    preserves the coefficient) and then complements mu' in length(mu) x nu_1.
+    Each pattern needs the inner length to fit under the outer length:
+    length(mu) <= length(nu), or mu_1 <= nu_1 for the conjugates.  When mu is
+    too long for nu in the identity pattern the coefficient is zero outright.
     """
     lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
     weight = sum(nu)
@@ -751,20 +765,23 @@ def reduce_plethysm(lam, mu, nu):
     original = (lam, mu, nu)
     odd = sum(mu) % 2 == 1
     candidates, options = [], []
-    for flips in ((), ("lambda", "mu", "nu") if odd else ("mu", "nu")):
-        triple = _conjugated(original, flips)
-        _, inner, outer = triple
-        m, n = _first(inner), len(outer)
+    for flips, m, n, fits in (
+        ((), _first(mu), len(nu), len(mu) <= len(nu)),
+        (
+            ("lambda", "mu", "nu") if odd else ("mu", "nu"),
+            len(mu), _first(nu), _first(mu) <= _first(nu),
+        ),
+    ):
         candidates.append(
             {
                 "conjugate": list(flips),
                 "m": m,
                 "n": n,
                 "weight": m * n * sum(lam) - weight,
-                "applicable": len(inner) <= n,
+                "applicable": fits,
             }
         )
-        options.append((flips, triple, {"m": m, "n": n}))
+        options.append((flips, {"m": m, "n": n}))
     if lam and mu and len(mu) > len(nu):
         # s_mu needs more variables than nu provides, so the coefficient is 0
         chain = [{"op": "vanishes", "reason": "length(mu) > length(nu)"}]

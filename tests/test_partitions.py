@@ -76,6 +76,13 @@ def test_conjugate_pins():
     assert conjugate((5,)) == (1, 1, 1, 1, 1)
 
 
+def test_conjugate_counts_the_parts_past_each_column():
+    for w in range(17):
+        for p in partitions_of(w):
+            want = tuple(sum(1 for a in p if a > j) for j in range(p[0] if p else 0))
+            assert conjugate(p) == want, p
+
+
 @given(partitions())
 def test_conjugate_involution(p):
     assert conjugate(conjugate(p)) == p

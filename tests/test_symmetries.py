@@ -62,6 +62,27 @@ def test_apply_worked_examples():
     o = apply_rule("kf-box", ((2,), (1, 1)), k=3, n=2)
     assert o.transformed == ((3, 1), (2, 2))
 
+    # (2,1) + ((km)^l) = (2,1) + (2,2) and (2,1) + (k^(lm)) = (2,1) + (1^4)
+    o = apply_rule("kron-translate", ((2, 1), (2, 1), (2, 1)), l=2, m=2, k=1)
+    assert o.transformed == ((4, 3), (4, 3), (3, 2, 1, 1))
+
+    # mu + (k^n) = (1) + (1,1); nu + ((k|lam|)^n) = (2) + (2,2)
+    o = apply_rule("pleth-translate-inner", ((2,), (1,), (2,)), n=2, k=1)
+    assert o.transformed == ((2,), (2, 1), (4, 2))
+
+    # r = count_ssyt((1,), 2) = 2 and q = 2*1/2 = 1: lam complemented in
+    # 2 x 2, nu in ql x n = 2 x 2
+    o = apply_rule("pleth-box-outer", ((1,), (1,), (1,)), l=2, n=2)
+    assert o.transformed == ((2, 1), (1,), (2, 1))
+
+    # r = count_ssyt((2,), 2) = 3 and q = 3*2/2 = 3: lam + (1^3), nu + (3,3)
+    o = apply_rule("pleth-translate-outer", ((1,), (2,), (2,)), n=2, k=1)
+    assert o.transformed == ((2, 1, 1), (2,), (5, 3))
+
+    # both translated by (1^3)
+    o = apply_rule("kf-translate", ((2, 1), (1, 1, 1)), n=3, k=1)
+    assert o.transformed == ((3, 2, 1), (2, 2, 2))
+
 
 def test_apply_records_params():
     o = apply_rule("lr-translate", ((1,), (1,), (1, 1)), n=2, k=1)
@@ -522,6 +543,26 @@ def test_check_reduction_exhaustive_small(planner, triples, count, strict):
     assert len(lighter) == strict
 
 
+def test_kronecker_candidates_match_the_conjugated_triple():
+    # the planner reads each box side off a first part or a length; the first
+    # parts of the explicitly conjugated triple must give the same boxes
+    for triple in symmetries._same_weight_triples(7):
+        for c in reduce_kronecker(*triple).candidates:
+            l, m, n = (p[0] if p else 0 for p in symmetries._conjugated(triple, c["conjugate"]))
+            assert c["boxes"] == [l, m, n], triple
+            assert c["weight"] == l * m * n - sum(triple[0]), triple
+
+
+def test_plethysm_candidates_match_the_conjugated_triple():
+    for lam, mu, nu in symmetries._pleth_triples(6):
+        for c in reduce_plethysm(lam, mu, nu).candidates:
+            _, inner, outer = symmetries._conjugated((lam, mu, nu), c["conjugate"])
+            m, n = inner[0] if inner else 0, len(outer)
+            assert (c["m"], c["n"]) == (m, n), (lam, mu, nu)
+            assert c["applicable"] == (len(inner) <= n), (lam, mu, nu)
+            assert c["weight"] == m * n * sum(lam) - sum(nu), (lam, mu, nu)
+
+
 def test_rectangle_family_values():
     ctx = SweepContext()
     vals = {}
@@ -666,7 +707,8 @@ class _Int(int):
 
 def _integer_reading_calls():
     """One param per public entry point that reads an integer: call(x), with
-    x a part of a partition, a rule parameter or a sweep bound."""
+    x a part of a partition, a rule parameter, a sweep bound or a count of
+    variables or tableau entries."""
     calls = [
         ("to_partition", lambda x: to_partition((x, 1))),
         ("lr_coefficient", lambda x: lr_coefficient((x,), (1,), (3,))),
@@ -686,6 +728,9 @@ def _integer_reading_calls():
         ("char_value-class", lambda x: char_value((2,), (x,))),
         ("count_ssyt", lambda x: count_ssyt((x,), 2)),
         ("schur_poly_of_partition", lambda x: schur_poly_of_partition((x,), 2)),
+        ("count_ssyt-entries", lambda x: count_ssyt((2, 1), x)),
+        ("tableau_ratio-entries", lambda x: tableau_ratio((2,), x)),
+        ("schur_poly_of_partition-variables", lambda x: schur_poly_of_partition((1,), x)),
     ]
     return [pytest.param(call, id=name) for name, call in calls]
 
