@@ -21,6 +21,9 @@ can be played against each other:
                monomials of the inner Schur polynomial, read with
                schur_coefficients
 
+Both oracles expand their Jacobi-Trudi determinant with the one routine
+_jacobi_trudi, each with its own entries.
+
 Every polynomial route ends in the one reader, schur.schur_coefficients, or
 in its sort step, schur.sort_with_sign (the LR oracle one monomial of s_mu at
 a time); the Kronecker oracle evaluates no polynomial at all.  No oracle
@@ -324,26 +327,23 @@ class _GarsiaRemmel:
 
     def _expansion(self, lam):
         """s_lam = sum_alpha c_alpha h_alpha, keyed by the nonzero parts of
-        alpha, sorted decreasingly."""
+        alpha, sorted decreasingly: the Jacobi-Trudi determinant with h_k
+        the variable x_k (h_0 = 1), so each exponent vector counts the parts
+        of one alpha."""
         out = self.expansions.get(lam)
-        if out is not None:
-            return out
-        acc = {}
+        if out is None:
+            top = lam[0] + len(lam) - 1 if lam else 0
+            zero = (0,) * top
 
-        def expand(i, cols, parts, sign):
-            if i == len(lam):
-                key = tuple(sorted(parts, reverse=True))
-                acc[key] = acc.get(key, 0) + sign
-                return
-            for idx, j in enumerate(cols):
-                a = lam[i] - i + j
-                if a >= 0:
-                    rest = cols[:idx] + cols[idx + 1 :]
-                    more = parts + (a,) if a else parts
-                    expand(i + 1, rest, more, -sign if idx & 1 else sign)
+            def h(k):
+                if k < 0:
+                    return {}
+                return {zero[: k - 1] + (1,) + zero[k:] if k else zero: 1}
 
-        expand(0, tuple(range(len(lam))), (), 1)
-        out = self.expansions[lam] = {alpha: c for alpha, c in acc.items() if c}
+            out = self.expansions[lam] = {
+                tuple(k for k in range(top, 0, -1) for _ in range(e[k - 1])): c
+                for e, c in _jacobi_trudi(lam, h, top).items()
+            }
         return out
 
     def _layer(self, prefix, mu):
@@ -539,23 +539,23 @@ def _e_table(alphabet, kmax, n):
     return table
 
 
-def _poly_det(rows, n):
-    """Determinant of a small matrix of sparse polynomial dicts."""
-    size = len(rows)
-    if size == 0:
-        return {(0,) * n: 1}
+def _jacobi_trudi(lam, entry, n):
+    """The Jacobi-Trudi determinant det(entry(lam_i - i + j)), i, j < len(lam),
+    by Laplace expansion along the rows; entry(k) is a sparse polynomial dict
+    in n variables, empty for a zero entry."""
+    size = len(lam)
 
     def minor(r, cols):
         if r == size:
             return {(0,) * n: 1}
         total = {}
         for idx, col in enumerate(cols):
-            entry = rows[r][col]
-            if not entry:
+            term = entry(lam[r] - r + col)
+            if not term:
                 continue
             sub = minor(r + 1, cols[:idx] + cols[idx + 1 :])
             sign = -1 if idx & 1 else 1
-            for e1, c1 in entry.items():
+            for e1, c1 in term.items():
                 for e2, c2 in sub.items():
                     key = tuple(map(add, e1, e2))
                     v = total.get(key, 0) + sign * c1 * c2
@@ -568,43 +568,22 @@ def _poly_det(rows, n):
     return minor(0, tuple(range(size)))
 
 
-def _jacobi_trudi_at(lam, g):
-    """s_lam evaluated at the monomials of the monomial-positive polynomial
-    g, by the Jacobi-Trudi determinant with the cheaper of the h or e
-    kernels."""
-    n = g.arity
-    alphabet = _alphabet_of(g)
-    ell = len(lam)
-    width = lam[0] if lam else 0
-    conj = conjugate(lam)
-    h_need = [[lam[i] - i + j for j in range(ell)] for i in range(ell)]
-    e_need = [[conj[i] - i + j for j in range(width)] for i in range(width)]
-
-    if ell <= width:
-        kmax = max((max(r) for r in h_need), default=0)
-        table = _h_table(alphabet, max(kmax, 0), n)
-        rows = [[({} if k < 0 else table[k]) for k in r] for r in h_need]
-    else:
-        kmax = max((max(r) for r in e_need), default=0)
-        kmax = max(min(kmax, len(alphabet)), 0)
-        table = _e_table(alphabet, kmax, n)
-        rows = [
-            [({} if k < 0 or k > len(alphabet) else table[k]) for k in r]
-            for r in e_need
-        ]
-    out = LaurentPoly(n)
-    out.terms = _poly_det(rows, n)
-    return out
-
-
 @lru_cache(maxsize=None)
 def _pleth_oracle_expansion(lam, mu, n):
     """Schur coefficients of s_lam evaluated at the monomials of s_mu in n
-    variables; None when s_mu vanishes at this arity."""
+    variables, by the Jacobi-Trudi determinant over the h table of that
+    alphabet on lam, or over its e table on lam' when lam' is shorter; None
+    when s_mu vanishes at this arity."""
     g = schur_poly_of_partition(mu, n)
     if not g:
         return None
-    return schur_coefficients(_jacobi_trudi_at(lam, g), n)
+    conj = conjugate(lam)
+    shape, table_of = (lam, _h_table) if len(lam) <= len(conj) else (conj, _e_table)
+    top = shape[0] + len(shape) - 1 if shape else 0
+    table = table_of(_alphabet_of(g), top, n)
+    det = LaurentPoly(n)
+    det.terms = _jacobi_trudi(shape, lambda k: table[k] if 0 <= k <= top else {}, n)
+    return schur_coefficients(det, n)
 
 
 def plethysm_oracle(lam, mu, nu):

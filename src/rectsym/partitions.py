@@ -41,18 +41,17 @@ def to_partition(seq):
     return seq
 
 
-def to_count(n):
-    """A variable or entry count n as an int, by operator.index, so a float
-    raises ValueError as a float part does in to_partition."""
+def to_count(n, name):
+    """A count n (of variables, tableau entries, workers, repeats, ...) as an
+    int, by operator.index.  A float, even an integral one, or a negative n
+    raises one ValueError, which name heads."""
     try:
-        return index(n)
+        count = index(n)
     except TypeError:
-        raise ValueError(f"a count must be an integer, got {n!r}") from None
-
-
-def is_partition(seq):
-    seq = tuple(seq)
-    return is_weakly_decreasing(seq) and (not seq or seq[-1] >= 0)
+        count = -1  # refused below, as a negative count is
+    if count < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
+    return count
 
 
 def parse_partition(text):
@@ -118,17 +117,28 @@ def complement(seq, k, n):
     return tuple(k - a for a in reversed(padded))
 
 
+def box_complements(*boxes):
+    """The complement of each (p, k, n) in boxes, p a partition (not
+    validated), in its k x n box, when every p fits in its box; else None.
+    Every fit is tested before any complement is built."""
+    for p, k, n in boxes:
+        if not fits_in_box(p, k, n):
+            return None
+    # the parts equal to k are the complement's trailing zeros
+    return tuple(
+        tuple(k - a for a in reversed(p + (0,) * (n - len(p))) if a != k)
+        for p, k, n in boxes
+    )
+
+
 def complement_partition(p, k, n):
-    """Box complement of a partition that fits in the box."""
+    """Box complement of a partition that fits in the k x n box, else
+    LengthExceedsBox."""
     p = to_partition(p)
-    if not fits_in_box(p, k, n):
+    out = box_complements((p, k, n))
+    if out is None:
         raise LengthExceedsBox(f"{p} does not fit in {k}x{n}")
-    # the complement of a partition in the box is one, up to trailing zeros
-    out = complement(p, k, n)
-    end = len(out)
-    while end and out[end - 1] == 0:
-        end -= 1
-    return out[:end]
+    return out[0]
 
 
 def translated_partition(p, k, n):
@@ -209,9 +219,7 @@ def count_ssyt(p, n):
     ValueError.
     """
     p = to_partition(p)
-    n = to_count(n)
-    if n < 0:
-        raise ValueError(f"number of entries must be nonnegative, got {n}")
+    n = to_count(n, "number of entries")
     top = bottom = 1
     for i, row in enumerate(hooks(p)):
         for j, h in enumerate(row):
@@ -228,10 +236,9 @@ def iter_ssyt(shape, n, content=None):
 
     Tableaux come out as tuples of row tuples.  If content is given, only
     tableaux with exactly content[v-1] copies of v are produced.  n must be
-    nonnegative, else ValueError (raised when iteration starts).
+    a nonnegative integer, else ValueError (raised when iteration starts).
     """
-    if n < 0:
-        raise ValueError(f"number of entries must be nonnegative, got {n}")
+    n = to_count(n, "number of entries")
     if not shape:
         yield ()
         return

@@ -30,7 +30,7 @@ from functools import lru_cache
 from math import factorial, perm
 from operator import add, neg, sub
 
-from .partitions import to_partition
+from .partitions import to_count, to_partition
 
 
 class WeightMismatch(ValueError):
@@ -112,10 +112,9 @@ def _ascending_sizes(n, bound):
 
 def class_sizes(n):
     """Conjugacy class sizes n!/z_rho of S_n, aligned with partitions_of(n):
-    the block-built ascending list reversed.  n must be nonnegative, else
-    ValueError."""
-    if n < 0:
-        raise ValueError(f"weight must be nonnegative, got {n}")
+    the block-built ascending list reversed.  n must be a nonnegative
+    integer, else ValueError."""
+    n = to_count(n, "weight")
     return tuple(reversed(_ascending_sizes(n, n)))
 
 

@@ -110,10 +110,10 @@ def schur_poly_of_partition(p, n):
     """s_p in n variables for a partition p (trailing zeros allowed), as the
     tableau monomial sum: one x^(content of T) per semistandard tableau T of
     shape p with entries in 1..n.  Zero when p has more than n rows; a p that
-    is not a partition, or an n that is not an integer, raises ValueError,
-    before the memo sees it.
+    is not a partition, or an n that is not a nonnegative integer, raises
+    ValueError, before the memo sees it.
     """
-    return _tableau_sum(to_partition(p), to_count(n))
+    return _tableau_sum(to_partition(p), to_count(n, "number of variables"))
 
 
 @lru_cache(maxsize=None)

@@ -45,9 +45,9 @@ from math import inf
 from .coefficients import kronecker_coefficient, lr_coefficient, plethysm_coefficient
 from .hall_littlewood import kostka_foulkes
 from .partitions import (
+    box_complements,
     conjugate,
     count_ssyt,
-    fits_in_box,
     partitions_of,
     to_count,
     to_partition,
@@ -132,8 +132,8 @@ def tableau_ratio(mu, n):
     """q = r|mu|/n, r the number of tableaux of shape mu with entries <= n;
     integral by the degree count over the tableau monomials of s_mu in n
     variables.  A malformed mu, a non-integer n or n <= 0 raises ValueError."""
-    n = to_count(n)
-    if n <= 0:
+    n = to_count(n, "n")
+    if n == 0:
         raise ValueError("n must be positive")
     return _tableau_count(to_partition(mu), n)[1]
 
@@ -156,23 +156,9 @@ def _shift_floor(p, rows):
 # coefficient is zero.
 
 
-def _complements(*boxes):
-    """The complement of each (p, k, n) in boxes, p a partition, in its k x n
-    box, when every p fits in its box; else None.  Every fit is tested
-    before any complement is built."""
-    for p, k, n in boxes:
-        if not fits_in_box(p, k, n):
-            return None
-    # the parts equal to k are the complement's trailing zeros
-    return tuple(
-        tuple(k - a for a in reversed(p + (0,) * (n - len(p))) if a != k)
-        for p, k, n in boxes
-    )
-
-
 def _lr_box(indices, l, m, n):
     lam, mu, nu = indices
-    return _complements((lam, l, n), (mu, m, n), (nu, l + m, n))
+    return box_complements((lam, l, n), (mu, m, n), (nu, l + m, n))
 
 
 def _lr_translate(indices, n, k):
@@ -185,7 +171,7 @@ def _lr_translate(indices, n, k):
 
 def _kron_box(indices, l, m, n):
     lam, mu, nu = indices
-    return _complements((lam, l, m * n), (mu, m, l * n), (nu, n, l * m))
+    return box_complements((lam, l, m * n), (mu, m, l * n), (nu, n, l * m))
 
 
 def _kron_translate(indices, l, m, k):
@@ -199,7 +185,7 @@ def _kron_translate(indices, l, m, k):
 
 def _pleth_box_inner(indices, m, n):
     lam, mu, nu = indices
-    image = _complements((mu, m, n), (nu, m * sum(lam), n))
+    image = box_complements((mu, m, n), (nu, m * sum(lam), n))
     return None if image is None else (lam, *image)
 
 
@@ -214,7 +200,7 @@ def _pleth_translate_inner(indices, n, k):
 def _pleth_box_outer(indices, l, n):
     lam, mu, nu = indices
     r, q = _tableau_count(mu, n)
-    image = _complements((lam, l, r), (nu, q * l, n))
+    image = box_complements((lam, l, r), (nu, q * l, n))
     return None if image is None else (image[0], mu, image[1])
 
 
@@ -229,7 +215,7 @@ def _pleth_translate_outer(indices, n, k):
 
 def _kf_box(indices, k, n):
     lam, mu = indices
-    return _complements((lam, k, n), (mu, k, n))
+    return box_complements((lam, k, n), (mu, k, n))
 
 
 def _kf_translate(indices, n, k):
@@ -375,8 +361,7 @@ class SweepBounds:
 
     def __post_init__(self):
         for name, value in asdict(self).items():
-            if not isinstance(value, int) or value < 0:
-                raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+            object.__setattr__(self, name, to_count(value, name))
 
 
 class SweepContext:
@@ -604,9 +589,11 @@ def verify_rule(rule, bounds=None, ctx=None, jobs=1):
     counterexamples are merged back into enumeration order, so the report
     equals the serial one.  ctx serves only the in-process sweep (jobs == 1);
     each worker builds its own; a worker that dies raises SweepWorkerDied.
-    An unknown rule or jobs < 1 raises ValueError before any work.
+    An unknown rule, or jobs not an integer of at least 1, raises ValueError
+    before any work.
     """
     _family_of(rule)
+    jobs = to_count(jobs, "jobs")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
@@ -850,6 +837,7 @@ def bench_reduction(family, indices, repeats=3):
     not a speedup, and raises immediately.  repeats must be at least 1, else
     ValueError.
     """
+    repeats = to_count(repeats, "repeats")
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
     # planning first rejects a family without a planner, or bad indices,

@@ -90,6 +90,75 @@ def test_compute_cross_check(capsys):
     assert out == "1\n"
 
 
+@pytest.mark.parametrize(
+    "family, indices, method, value",
+    [
+        ("lr", ("2,1", "2,1", "3,2,1"), "main", 2),
+        ("kronecker", ("2,1", "2,1", "2,1"), "main", 1),
+        ("plethysm", ("2", "2", "2,2"), "main", 1),
+        ("plethysm", ("3,2,1", "2", "5,4,3"), "oracle", 2),
+        ("kostka-foulkes", ("2,1", "1,1,1"), "main", "t + t^2"),
+    ],
+    ids=["lr", "kronecker", "plethysm", "plethysm-oracle", "kostka-foulkes"],
+)
+def test_compute_check_agrees_for_every_family(capsys, family, indices, method, value):
+    flags = [f for pair in zip(("--lambda", "--mu", "--nu"), indices) for f in pair]
+    code, out, _ = run(
+        capsys, "compute", family, *flags, "--method", method, "--check", "--json"
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["method"] == method
+    assert payload["check_method"] == ("main" if method == "oracle" else "oracle")
+    assert payload["value"] == payload["check_value"] == value
+    assert payload["agrees"] is True
+
+
+@pytest.fixture
+def weight_skewed_kronecker(monkeypatch):
+    """The Kronecker engine, off by the weight of its instance: it disagrees
+    with the oracle and with every rule or reduction that changes the weight."""
+    real = symmetries._ENGINES["kron"]
+    monkeypatch.setitem(
+        symmetries._ENGINES, "kron", lambda indices, ctx: real(indices, ctx) + sum(indices[0])
+    )
+
+
+_REDUCIBLE = ["--lambda", "2,2,2", "--mu", "2,2,2", "--nu", "6"]
+
+
+@pytest.mark.parametrize(
+    "argv, said",
+    [
+        (
+            ["compute", "kronecker", *_REDUCIBLE, "--check"],
+            "mismatch: main gives 7, oracle gives 1\n",
+        ),
+        (["reduce", "kronecker", *_REDUCIBLE, "--execute"], "reduced value: 1\nMISMATCH\n"),
+        (["bench", "kronecker", *_REDUCIBLE, "--repeats", "1"], "value: 7 != 1\n"),
+    ],
+    ids=["compute-check", "reduce-execute", "bench"],
+)
+def test_disagreement_exits_3(capsys, weight_skewed_kronecker, argv, said):
+    # g((2,2,2), (2,2,2), (6)) = 1, which the oracle and the reduced
+    # instance (weight 0) both give; the skewed engine gives 1 + 6
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_MISMATCH
+    assert (out + err).endswith(said)
+
+
+def test_verify_counterexample_exits_1(capsys, weight_skewed_kronecker):
+    code, out, _ = run(capsys, "verify", "kron-box", "--max-weight", "3", "--boxes", "2")
+    assert code == EXIT_COUNTEREXAMPLE
+    lines = out.splitlines()
+    found = [line for line in lines if line.startswith("COUNTEREXAMPLE ")]
+    assert found
+    for line in found:
+        assert json.loads(line[len("COUNTEREXAMPLE ") :])["rule"] == "kron-box"
+    assert lines[-1].startswith("FAILED: ")
+    assert lines[-1].endswith(f" {len(found)} counterexamples")
+
+
 def test_compute_json(capsys):
     code, out, _ = run(
         capsys, "compute", "lr", "--lambda", "1", "--mu", "1", "--nu", "2", "--json"

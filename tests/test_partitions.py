@@ -14,7 +14,6 @@ from rectsym.partitions import (
     fits_in_box,
     format_partition,
     hooks,
-    is_partition,
     iter_ssyt,
     parse_partition,
     partitions_of,
@@ -45,11 +44,12 @@ def test_to_partition_rejects_bad_input():
         to_partition((2, -1))
 
 
-def test_is_partition():
-    assert is_partition((3, 3, 1))
-    assert is_partition(())
-    assert not is_partition((1, 3))
-    assert not is_partition((2, -1))
+def test_to_partition_keeps_partitions():
+    assert to_partition((3, 3, 1)) == (3, 3, 1)
+    assert to_partition([]) == ()
+    for bad in ((1, 3), (2, -1)):
+        with pytest.raises(ValueError):
+            to_partition(bad)
 
 
 def test_parse_format():
@@ -169,7 +169,10 @@ def test_translated_partition_matches_validated_sum():
                 for k in range(-3, 4):
                     padded = p + (0,) * max(0, n - len(p))
                     raw = tuple(a + k if i < n else a for i, a in enumerate(padded))
-                    want = to_partition(raw) if is_partition(raw) else None
+                    try:
+                        want = to_partition(raw)
+                    except ValueError:
+                        want = None
                     assert translated_partition(p, k, n) == want, (p, k, n)
 
 

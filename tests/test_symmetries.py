@@ -15,8 +15,14 @@ from rectsym.coefficients import (
     plethysm_oracle,
 )
 from rectsym.hall_littlewood import kostka_foulkes, kostka_foulkes_oracle
-from rectsym.partitions import count_ssyt, partitions_of, to_partition, translated_partition
-from rectsym.powersum import WeightMismatch, char_row, char_value
+from rectsym.partitions import (
+    count_ssyt,
+    iter_ssyt,
+    partitions_of,
+    to_partition,
+    translated_partition,
+)
+from rectsym.powersum import WeightMismatch, char_row, char_value, class_sizes
 from rectsym.schur import schur_poly_of_partition
 from rectsym.symmetries import (
     FAMILY_OF,
@@ -731,6 +737,12 @@ def _integer_reading_calls():
         ("count_ssyt-entries", lambda x: count_ssyt((2, 1), x)),
         ("tableau_ratio-entries", lambda x: tableau_ratio((2,), x)),
         ("schur_poly_of_partition-variables", lambda x: schur_poly_of_partition((1,), x)),
+        ("iter_ssyt-entries", lambda x: list(iter_ssyt((2, 1), x))),
+        ("class_sizes", class_sizes),
+        (
+            "bench_reduction-repeats",
+            lambda x: bench_reduction("kronecker", ((2, 1), (2, 1), (2, 1)), repeats=x),
+        ),
     ]
     return [pytest.param(call, id=name) for name, call in calls]
 
@@ -744,3 +756,44 @@ def test_entry_points_reject_non_integers_alike(call, bad):
     call(_Int(2))
     with pytest.raises(ValueError, match="integer"):
         call(bad)
+
+
+def _count_reading_calls():
+    """One param per entry point that reads a count: call(x), with x the
+    count, and the word its ValueError names the count by."""
+    calls = [
+        ("count_ssyt", lambda x: count_ssyt((2, 1), x), "number of entries"),
+        ("iter_ssyt", lambda x: list(iter_ssyt((2, 1), x)), "number of entries"),
+        ("schur_poly_of_partition", lambda x: schur_poly_of_partition((1,), x), "variables"),
+        ("schur_poly_of_partition-empty", lambda x: schur_poly_of_partition((), x), "variables"),
+        ("class_sizes", class_sizes, "weight"),
+        ("tableau_ratio", lambda x: tableau_ratio((2,), x), "n must"),
+        ("SweepBounds", lambda x: SweepBounds(max_k=x), "max_k"),
+        ("verify_rule-jobs", lambda x: verify_rule("kf-box", SMALL, jobs=x), "jobs"),
+        (
+            "bench_reduction-repeats",
+            lambda x: bench_reduction("kronecker", ((2, 1), (2, 1), (2, 1)), repeats=x),
+            "repeats",
+        ),
+    ]
+    return [pytest.param(call, word, id=name) for name, call, word in calls]
+
+
+@pytest.mark.parametrize("call, word", _count_reading_calls())
+def test_count_readers_reject_negative_counts_alike(call, word):
+    # a negative count is malformed input, not an empty range: without the
+    # check, s_() in -1 variables read as the zero polynomial
+    with pytest.raises(ValueError, match=word):
+        call(-1)
+
+
+def test_verify_rule_rejects_float_jobs_before_any_pool(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(symmetries.os, "cpu_count", lambda: 2)
+    with pytest.raises(ValueError, match="jobs"):
+        verify_rule("kf-box", SMALL, jobs=2.0)
