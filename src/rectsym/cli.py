@@ -10,7 +10,7 @@ Four working subcommands plus a rule applicator:
 
 Partitions are comma-separated part lists; the empty partition is written 0.
 Exit codes: 0 success, 1 a verification sweep found a counterexample,
-2 malformed input, 3 internal disagreement (oracle check or reduction
+2 malformed input, 3 internal disagreement (a compute --check or reduction
 value mismatch), 4 a worker process of verify --jobs N died.
 """
 
@@ -19,7 +19,13 @@ import json
 import sys
 from dataclasses import asdict
 
-from .coefficients import kronecker_oracle, lr_coefficient_oracle, plethysm_oracle
+from .coefficients import (
+    kronecker_oracle,
+    lr_coefficient_oracle,
+    plethysm_class_sum,
+    plethysm_oracle,
+    plethysm_route,
+)
 from .hall_littlewood import kostka_foulkes_oracle
 from .partitions import format_partition, parse_partition
 from .symmetries import (
@@ -94,6 +100,19 @@ def _compute_value(family, indices, method):
     return kostka_foulkes_oracle(*indices)
 
 
+def _pleth_routes(indices, method):
+    """(route, check method, check route) of compute plethysm: the route that
+    gives the value by method, and the route not taken that --check plays
+    against it.  Where the engine takes Jacobi-Trudi, the oracle's route,
+    the check is the class sum; elsewhere it is the other method."""
+    engine = plethysm_route(*indices)
+    if engine == "jacobi-trudi":
+        return engine, "main", "class-sum"
+    if method == "oracle":
+        return "jacobi-trudi", "main", engine
+    return engine, "oracle", "jacobi-trudi"
+
+
 def cmd_compute(args):
     indices = _read_indices(args, f"compute {args.family}", FAMILY_KEY[args.family])
     value = _compute_value(args.family, indices, args.method)
@@ -107,17 +126,27 @@ def cmd_compute(args):
     }
     if len(indices) == 3:
         payload["nu"] = list(indices[2])
+    route = check_route = None
+    other_method = "oracle" if args.method == "main" else "main"
+    if args.family == "plethysm":
+        route, other_method, check_route = _pleth_routes(indices, args.method)
+        payload["route"] = route
     if args.check:
-        other_method = "oracle" if args.method == "main" else "main"
-        other = _compute_value(args.family, indices, other_method)
+        if check_route == "class-sum":
+            other = plethysm_class_sum(*indices)
+        else:
+            other = _compute_value(args.family, indices, other_method)
         payload["check_method"] = other_method
+        if check_route:
+            payload["check_route"] = check_route
         payload["check_value"] = other if isinstance(other, int) else str(other)
         payload["agrees"] = value == other
         if value != other:
             _emit(
                 payload,
                 args.json,
-                f"mismatch: {args.method} gives {value}, {other_method} gives {other}",
+                f"mismatch: {route or args.method} gives {value}, "
+                f"{check_route or other_method} gives {other}",
             )
             return EXIT_MISMATCH
     _emit(payload, args.json, str(value))
@@ -335,7 +364,12 @@ def build_parser():
     p.add_argument("family", choices=tuple(FAMILY_KEY))
     _add_partition_flags(p)
     p.add_argument("--method", choices=("main", "oracle"), default="main")
-    p.add_argument("--check", action="store_true", help="run both methods, compare")
+    p.add_argument(
+        "--check",
+        action="store_true",
+        help="compare with the route not taken: the other method, or the class "
+        "sum for a plethysm the engine takes by Jacobi-Trudi",
+    )
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_compute)
 

@@ -11,18 +11,24 @@ can be played against each other:
   kron oracle  Garsia-Remmel sum: Jacobi-Trudi on s_lam in the h basis, each
                <h_alpha * s_mu, s_nu> a dynamic program over pairs of
                sub-partitions of (mu, nu) weighted by lattice-word LR counts
-  pleth      one integer class sum of s_lam[s_mu], in that order, with a
-             factor per route: length(nu) <= 3, s_mu(x^k) on packed-integer
-             monomials read with schur_coefficients; longer nu, the power
-             sum basis paired with chi^nu over |lam|! |mu|!^|lam| (see
-             POLY_MAX_ARITY); products cached per (mu, n), expansions per
-             (lam, mu, n)
-  pleth oracle  Jacobi-Trudi determinant over h or e evaluated on the
-               monomials of the inner Schur polynomial, read with
-               schur_coefficients
+  pleth      s_lam[s_mu] by one of three routes, a pure function of
+             (lam, mu, length(nu)) (plethysm_route).  Up to POLY_MAX_ARITY
+             rows of nu, a polynomial in length(nu) variables on
+             packed-integer monomials, read with schur_coefficients: the
+             integer class sum of s_mu(x^k) over the classes of S_|lam|, or
+             the Jacobi-Trudi determinant over the alphabet of s_mu,
+             whichever of two cost estimates is lower.  Longer nu, the class
+             sum in the power sum basis paired with chi^nu over
+             |lam|! |mu|!^|lam|.  Class-sum products cached per (mu, n),
+             expansions of every route per (lam, mu, n)
+  pleth oracle  the Jacobi-Trudi determinant alone, over h or e evaluated
+               on the monomials of the inner Schur polynomial; where the
+               engine takes the same determinant, compute --check plays it
+               against the class sum instead (plethysm_class_sum)
 
-Both oracles expand their Jacobi-Trudi determinant with the one routine
-_jacobi_trudi, each with its own entries.
+The two oracles and the engine's Jacobi-Trudi route expand their
+determinant with the one routine _jacobi_trudi, on packed monomials, each
+with its own entries.
 
 Every polynomial route ends in the one reader, schur.schur_coefficients, or
 in its sort step, schur.sort_with_sign (the LR oracle one monomial of s_mu at
@@ -34,8 +40,8 @@ solve of s_lam = sum K_(lam,rho)(t) P_rho in the Schur basis as its oracle.
 """
 
 from functools import lru_cache
-from math import factorial
-from operator import add, mul
+from math import comb, factorial
+from operator import add, lshift, mul
 
 from .partitions import (
     conjugate,
@@ -49,6 +55,7 @@ from .powersum import (
     CharCache,
     NonIntegralResult,
     _ascending_sizes,
+    _bounded_counts,
     _position,
     _row,
 )
@@ -164,16 +171,14 @@ def _pack(g, degree):
         raise ValueError(
             f"degree {degree} needs exponent fields wider than {PACK_BITS} bits"
         )
-    return {
-        sum(x << (PACK_BITS * i) for i, x in enumerate(e)): c
-        for e, c in g.terms.items()
-    }
+    fields = range(0, PACK_BITS * g.arity, PACK_BITS)
+    return {sum(map(lshift, e, fields)): c for e, c in g.terms.items()}
 
 
 def _unpack_key(key, n):
     """The exponent tuple of a packed monomial in n variables."""
     mask = (1 << PACK_BITS) - 1
-    return tuple((key >> (PACK_BITS * i)) & mask for i in range(n))
+    return tuple([(key >> field) & mask for field in range(0, PACK_BITS * n, PACK_BITS)])
 
 
 def _weighted_classes(lam, cache):
@@ -328,21 +333,21 @@ class _GarsiaRemmel:
     def _expansion(self, lam):
         """s_lam = sum_alpha c_alpha h_alpha, keyed by the nonzero parts of
         alpha, sorted decreasingly: the Jacobi-Trudi determinant with h_k
-        the variable x_k (h_0 = 1), so each exponent vector counts the parts
-        of one alpha."""
+        the packed variable x_k (h_0 = 1), so each exponent vector counts
+        the parts of one alpha."""
         out = self.expansions.get(lam)
         if out is None:
             top = lam[0] + len(lam) - 1 if lam else 0
-            zero = (0,) * top
 
             def h(k):
                 if k < 0:
                     return {}
-                return {zero[: k - 1] + (1,) + zero[k:] if k else zero: 1}
+                return {1 << (PACK_BITS * (k - 1)) if k else 0: 1}
 
+            counts = ((_unpack_key(key, top), c) for key, c in _jacobi_trudi(lam, h).items())
             out = self.expansions[lam] = {
                 tuple(k for k in range(top, 0, -1) for _ in range(e[k - 1])): c
-                for e, c in _jacobi_trudi(lam, h, top).items()
+                for e, c in counts
             }
         return out
 
@@ -441,14 +446,14 @@ def kronecker_oracle(lam, mu, nu, l, m, cache=None, table=None):
 
 
 # Up to this many rows of nu, plethysm_coefficient evaluates s_lam[s_mu] as a
-# polynomial in length(nu) variables; longer nu take its power sum expansion
-# _p_expansion.  Neither route wins everywhere (cold caches, 2 vCPUs,
-# Python 3.11.7).  The power sum route alone slows the four plethysm rules at
-# SweepBounds() 0.36 s -> 1.40 s and the five three-row pinned rungs of the
-# benchmark ladder 0.049 s -> 0.086 s.  The polynomial alone slows a cold
-# call at |nu| = 6 with five or six rows from 0.05-0.11 ms to 0.05-6.3 ms
-# (median 0.08 -> 2.7 ms), and the rung (4)[(4,4)] at (16,8,4,4)
-# 41 ms -> 146 ms.
+# polynomial in length(nu) variables, by the class sum or by the Jacobi-Trudi
+# determinant, whichever _takes_jacobi_trudi estimates cheaper; longer nu
+# take the power sum expansion _p_expansion, whatever lam is.  Measured cold
+# (2 vCPUs, Python 3.11.7): the rung (4)[(4,4)] at (16,8,4,4) takes 37 ms by
+# power sums, 41 ms by Jacobi-Trudi and 97 ms by the class sum.  Up to three
+# rows the polynomial wins: with power sums alone the four plethysm rules at
+# SweepBounds() take 80-127 ms each instead of 32-68 ms, and the five
+# three-row rungs of the benchmark ladder 7-31 ms instead of 0.3-5.6 ms.
 POLY_MAX_ARITY = 3
 
 
@@ -456,16 +461,21 @@ def plethysm_coefficient(lam, mu, nu, cache=None, powers=None, maps=None):
     """Multiplicity of s_nu in s_lam[s_mu].  Each index must be a partition
     (trailing zeros allowed), else ValueError.
 
-    Both routes are the class sum sum_rho (|lam|!/z_rho) chi^lam(rho)
-    prod_i F(rho_i), each with its own F.  Up to POLY_MAX_ARITY rows of nu,
-    F(k) = s_mu(x^k) on packed monomials (ValueError when
-    |nu| >= 2^PACK_BITS), read with schur_coefficients; longer nu take
+    The route is a pure function of (lam, mu, length(nu)); plethysm_route
+    names it.  Up to POLY_MAX_ARITY rows of nu, s_lam[s_mu] is evaluated as
+    a polynomial in length(nu) variables on packed monomials (ValueError
+    when |nu| >= 2^PACK_BITS) and read with schur_coefficients, by whichever
+    of two routes the cost estimates find cheaper: the class sum
+    sum_rho (|lam|!/z_rho) chi^lam(rho) prod_i s_mu(x^(k rho_i)), divided
+    exactly by |lam|!, or the Jacobi-Trudi determinant over the alphabet of
+    s_mu.  Longer nu take the class sum with
     F(k) = |mu|!^(k-1) |mu|! s_mu[p_k], paired with chi^nu and divided
-    exactly by |lam|! |mu|!^|lam|.  Either raises NonIntegralResult on a
-    remainder.  cache is a CharCache.  powers and maps are dicts that may
-    be shared across calls, with one cache path for both routes: powers
-    maps (mu, n) to the products keyed by rho, and maps (lam, mu, n) to the
-    Schur coefficients, or to the _p_expansion past POLY_MAX_ARITY rows.
+    exactly by |lam|! |mu|!^|lam|.  A class sum raises NonIntegralResult on
+    a remainder.  cache is a CharCache.  powers and maps are dicts that may
+    be shared across calls: powers maps (mu, n) to the class sums' products
+    keyed by rho, and maps (lam, mu, n) to the Schur coefficients, or to
+    the _p_expansion past POLY_MAX_ARITY rows, whichever route computed
+    them.
     """
     lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
     if sum(lam) * sum(mu) != sum(nu):
@@ -483,8 +493,11 @@ def plethysm_coefficient(lam, mu, nu, cache=None, powers=None, maps=None):
         if n > POLY_MAX_ARITY:
             coeffs = _p_expansion(lam, mu, products, cache)
         else:
-            poly = _schur_at(lam, schur_poly_of_partition(mu, n), products, cache)
-            coeffs = schur_coefficients(poly, n)
+            g = schur_poly_of_partition(mu, n)
+            if _takes_jacobi_trudi(lam, g):
+                coeffs = _jacobi_trudi_at(lam, g)
+            else:
+                coeffs = schur_coefficients(_schur_at(lam, g, products, cache), n)
         if maps is not None:
             maps[key] = coeffs
     if n <= POLY_MAX_ARITY:
@@ -498,92 +511,191 @@ def plethysm_coefficient(lam, mu, nu, cache=None, powers=None, maps=None):
     return q
 
 
-def _alphabet_of(poly):
-    """Monomials of a positive polynomial, with multiplicities."""
-    alphabet = []
-    for e in sorted(poly.terms):
-        c = poly.terms[e]
-        if c < 0:
-            raise ValueError("alphabet needs a monomial-positive polynomial")
-        alphabet.extend([e] * c)
-    return alphabet
+def plethysm_route(lam, mu, nu):
+    """The route plethysm_coefficient takes for these indices: "power-sum"
+    past POLY_MAX_ARITY rows of nu, else "jacobi-trudi" where its cost
+    estimate is below the class sum's, else "class-sum".  Each index must be
+    a partition (trailing zeros allowed), else ValueError."""
+    lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
+    n = len(nu)
+    if n > POLY_MAX_ARITY:
+        return "power-sum"
+    g = schur_poly_of_partition(mu, n)
+    if g and _takes_jacobi_trudi(lam, g):
+        return "jacobi-trudi"
+    return "class-sum"
 
 
-def _h_table(alphabet, kmax, n):
-    """Complete homogeneous sums of the alphabet, h_0 .. h_kmax."""
-    zero = (0,) * n
-    table = [{zero: 1}] + [{} for _ in range(kmax)]
+def plethysm_class_sum(lam, mu, nu):
+    """Multiplicity of s_nu in s_lam[s_mu] by the polynomial class sum in
+    length(nu) variables, whatever route plethysm_coefficient takes: the
+    check of a Jacobi-Trudi-routed value.  Each index must be a partition
+    (trailing zeros allowed), else ValueError."""
+    lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
+    if sum(lam) * sum(mu) != sum(nu):
+        return 0
+    n = len(nu)
+    if len(mu) > n:
+        return 0 if lam else 1
+    poly = _schur_at(lam, schur_poly_of_partition(mu, n), {}, CharCache())
+    return schur_coefficients(poly, n).get(nu, 0)
+
+
+# The two cost estimates of the polynomial routes, in dict updates, for
+# s_lam evaluated at the r letters of degree b in n variables that make up a
+# nonzero Schur polynomial g (_alphabet_counts): pure functions of lam and those
+# counts that list no partition.  Neither route's result has more terms
+# than the monomials of degree |lam| b in n variables, nor than the
+# multisets of |lam| letters (_terms).  Ties go to the class sum.
+
+
+def _takes_jacobi_trudi(lam, g):
+    """Whether s_lam at the monomials of the nonzero Schur polynomial g goes
+    to _jacobi_trudi_at rather than to the class sum _schur_at."""
+    counts = _alphabet_counts(g)
+    return _jacobi_trudi_cost(lam, *counts) < _class_sum_cost(lam, *counts)
+
+
+def _class_sum_cost(lam, n, b, r):
+    """p(|lam|) classes, read from the counts of partitions with bounded
+    parts, each adding one product of up to _terms terms; the products
+    themselves are shared across calls (powers)."""
+    N = sum(lam)
+    return _bounded_counts(N)[N] * _terms(N, n, b, r)
+
+
+def _jacobi_trudi_cost(lam, n, b, r):
+    """The determinant's d 2^(d-1) products of an entry by a minor, with
+    d = min(length(lam), lam_1) and the minors memoised by column set
+    (_jacobi_trudi), each of up to _terms terms; plus the table: the h table
+    (lam shorter) up to k = lam_1 + length(lam) - 1, or the e table (lam'
+    shorter) up to k = min(that, r), built in r k passes, one per letter and
+    entry.  Its entry j has at most the multisets (h) or sets (e) of j
+    letters and the monomials of degree j b; summed over j <= k, at most
+    C(k + r, k) multisets or 2^r sets, and at most (k + n)/n times the
+    monomials of degree k b (with equality at b = 1)."""
+    if not lam:
+        return 1
+    k = lam[0] + len(lam) - 1
+    if len(lam) <= lam[0]:
+        letters = comb(k + r, k)
+    else:
+        k = min(k, r)
+        letters = 1 << r
+    monomials = (k + n) * _monomials(k * b, n) // n if n else k + 1
+    table = r * k + min(letters, monomials)
+    d = min(len(lam), lam[0])
+    return (d << (d - 1)) * _terms(sum(lam), n, b, r) + table
+
+
+def _alphabet_counts(g):
+    """(n, b, r) for the nonzero Schur polynomial g: its variables, its
+    degree and its letters, which are its monomials with multiplicity."""
+    return g.arity, sum(next(iter(g.terms))), sum(g.terms.values())
+
+
+def _terms(N, n, b, r):
+    """A bound on the terms of a polynomial of degree N in r letters of
+    degree b in n variables: its monomials, or its multisets of letters."""
+    return min(_monomials(N * b, n), comb(N + r - 1, N))
+
+
+def _monomials(degree, n):
+    """The number of monomials of the given degree in n variables (in no
+    variables only the degree 0 occurs here: s_() is the constant 1)."""
+    return comb(degree + n - 1, degree) if n else 1
+
+
+def _h_table(alphabet, kmax):
+    """Complete homogeneous sums of the alphabet of packed monomials,
+    h_0 .. h_kmax, each {packed monomial: coefficient}."""
+    table = [{0: 1}] + [{} for _ in range(kmax)]
     for mono in alphabet:
-        # allows repeats of mono: h picks multisets
+        # ascending k reads h_(k-1) with mono already in: h picks multisets
         for k in range(1, kmax + 1):
-            src = table[k - 1]
             tgt = table[k]
-            for e, c in src.items():
-                key = tuple(map(add, e, mono))
-                tgt[key] = tgt.get(key, 0) + c
+            get = tgt.get
+            for e, c in table[k - 1].items():
+                e += mono
+                tgt[e] = get(e, 0) + c
     return table
 
 
-def _e_table(alphabet, kmax, n):
-    """Elementary sums of the alphabet, e_0 .. e_kmax."""
-    zero = (0,) * n
-    table = [{zero: 1}] + [{} for _ in range(kmax)]
+def _e_table(alphabet, kmax):
+    """Elementary sums of the alphabet of packed monomials, e_0 .. e_kmax,
+    each {packed monomial: coefficient}."""
+    table = [{0: 1}] + [{} for _ in range(kmax)]
     for mono in alphabet:
-        # no repeats: update high k first so each monomial is used once
+        # descending k reads e_(k-1) without mono: each letter used once
         for k in range(min(kmax, len(alphabet)), 0, -1):
-            src = table[k - 1]
             tgt = table[k]
-            for e, c in src.items():
-                key = tuple(map(add, e, mono))
-                tgt[key] = tgt.get(key, 0) + c
+            get = tgt.get
+            for e, c in table[k - 1].items():
+                e += mono
+                tgt[e] = get(e, 0) + c
     return table
 
 
-def _jacobi_trudi(lam, entry, n):
+def _jacobi_trudi(lam, entry):
     """The Jacobi-Trudi determinant det(entry(lam_i - i + j)), i, j < len(lam),
-    by Laplace expansion along the rows; entry(k) is a sparse polynomial dict
-    in n variables, empty for a zero entry."""
+    by Laplace expansion along the rows, on packed monomials: entry(k) is a
+    {packed monomial: coefficient} dict, empty for a zero entry, and a
+    product of monomials is one int add (the caller keeps every exponent
+    below 2^PACK_BITS, as _pack does).  The minors of the rows below r are
+    keyed by their columns and memoised for this call only."""
     size = len(lam)
+    memo = {(): {0: 1}}
 
-    def minor(r, cols):
-        if r == size:
-            return {(0,) * n: 1}
+    def minor(cols):
+        out = memo.get(cols)
+        if out is not None:
+            return out
+        r = size - len(cols)
         total = {}
+        get = total.get
         for idx, col in enumerate(cols):
             term = entry(lam[r] - r + col)
             if not term:
                 continue
-            sub = minor(r + 1, cols[:idx] + cols[idx + 1 :])
+            sub = minor(cols[:idx] + cols[idx + 1 :])
             sign = -1 if idx & 1 else 1
             for e1, c1 in term.items():
+                c1 *= sign
                 for e2, c2 in sub.items():
-                    key = tuple(map(add, e1, e2))
-                    v = total.get(key, 0) + sign * c1 * c2
-                    if v:
-                        total[key] = v
-                    elif key in total:
-                        del total[key]
-        return total
+                    e = e1 + e2
+                    total[e] = get(e, 0) + c1 * c2
+        out = memo[cols] = {e: c for e, c in total.items() if c}
+        return out
 
-    return minor(0, tuple(range(size)))
+    return minor(tuple(range(size)))
 
 
-@lru_cache(maxsize=None)
-def _pleth_oracle_expansion(lam, mu, n):
-    """Schur coefficients of s_lam evaluated at the monomials of s_mu in n
-    variables, by the Jacobi-Trudi determinant over the h table of that
-    alphabet on lam, or over its e table on lam' when lam' is shorter; None
-    when s_mu vanishes at this arity."""
-    g = schur_poly_of_partition(mu, n)
-    if not g:
-        return None
+def _jacobi_trudi_at(lam, g):
+    """Schur coefficients of s_lam evaluated at the monomials of the nonzero
+    Schur polynomial g: the Jacobi-Trudi determinant over the h table of
+    that alphabet on lam, or over its e table on lam' when lam' is shorter,
+    on packed monomials (ValueError when |lam| deg(g) >= 2^PACK_BITS)."""
+    n = g.arity
+    packed = _pack(g, sum(lam) * sum(next(iter(g.terms))))
+    alphabet = [key for key, c in packed.items() for _ in range(c)]
     conj = conjugate(lam)
     shape, table_of = (lam, _h_table) if len(lam) <= len(conj) else (conj, _e_table)
     top = shape[0] + len(shape) - 1 if shape else 0
-    table = table_of(_alphabet_of(g), top, n)
-    det = LaurentPoly(n)
-    det.terms = _jacobi_trudi(shape, lambda k: table[k] if 0 <= k <= top else {}, n)
-    return schur_coefficients(det, n)
+    table = table_of(alphabet, top)
+    det = _jacobi_trudi(shape, lambda k: table[k] if 0 <= k <= top else {})
+    poly = LaurentPoly(n)
+    poly.terms = {_unpack_key(e, n): c for e, c in det.items()}
+    return schur_coefficients(poly, n)
+
+
+@lru_cache(maxsize=1024)
+def _pleth_oracle_expansion(lam, mu, n):
+    """_jacobi_trudi_at(lam, s_mu in n variables); None when s_mu vanishes
+    at this arity."""
+    g = schur_poly_of_partition(mu, n)
+    if not g:
+        return None
+    return _jacobi_trudi_at(lam, g)
 
 
 def plethysm_oracle(lam, mu, nu):

@@ -367,9 +367,9 @@ class SweepBounds:
 class SweepContext:
     """Caches scoped to one sweep: the character rows of a CharCache (each
     shape's row built block by block, as far as the largest part bound any
-    call asked of it), the plethysm engine's class-sum caches, which both of
-    its routes share (powers: the products prod_i F(rho_i) per (mu, n),
-    keyed by rho; maps: the expansion of s_lam[s_mu] per (lam, mu, n), Schur
+    call asked of it), the plethysm engine's caches (powers: the class sums'
+    products prod_i F(rho_i) per (mu, n), keyed by rho; maps: the expansion
+    of s_lam[s_mu] per (lam, mu, n) by whichever route took it, Schur
     coefficients or power sum coefficients), and four value memos, one per
     family.  kron is keyed by the sorted triple, lr and pleth by the ordered
     triple (lam, mu, nu) and kf by the ordered pair (lam, mu); no key uses

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from rectsym import cli, symmetries
+from rectsym import cli, coefficients, symmetries
 from rectsym.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_MISMATCH,
@@ -112,6 +112,76 @@ def test_compute_check_agrees_for_every_family(capsys, family, indices, method, 
     assert payload["check_method"] == ("main" if method == "oracle" else "oracle")
     assert payload["value"] == payload["check_value"] == value
     assert payload["agrees"] is True
+
+
+def test_compute_check_plays_a_jacobi_trudi_value_against_the_class_sum(
+    capsys, monkeypatch
+):
+    # s_(2^6)[s_2] at (8,8,8) is 1.  The engine takes the determinant, the
+    # oracle's own route, so the check must take the class sum: a second
+    # determinant (the engine's is the first) or the oracle raises.
+    determinants = []
+    real_determinant = coefficients._jacobi_trudi_at
+
+    def determinant_once(*args):
+        if determinants:
+            raise AssertionError("the check ran the Jacobi-Trudi route")
+        determinants.append(args)
+        return real_determinant(*args)
+
+    def no_oracle(*args):
+        raise AssertionError("the check ran the Jacobi-Trudi oracle")
+
+    class_sums = []
+    real_class_sum = coefficients._schur_at
+    monkeypatch.setattr(coefficients, "_jacobi_trudi_at", determinant_once)
+    monkeypatch.setattr(cli, "plethysm_oracle", no_oracle)
+    monkeypatch.setattr(
+        coefficients, "_schur_at", lambda *args: class_sums.append(args) or real_class_sum(*args)
+    )
+    code, out, _ = run(
+        capsys,
+        "compute", "plethysm",
+        "--lambda", "2,2,2,2,2,2", "--mu", "2", "--nu", "8,8,8",
+        "--check", "--json",
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["value"] == payload["check_value"] == 1
+    assert payload["route"] == "jacobi-trudi"
+    assert (payload["check_method"], payload["check_route"]) == ("main", "class-sum")
+    assert payload["agrees"] is True
+    assert len(determinants) == 1 and len(class_sums) == 1
+
+
+@pytest.mark.parametrize(
+    "method, route, check",
+    [("main", "class-sum", ("oracle", "jacobi-trudi")), ("oracle", "jacobi-trudi", ("main", "class-sum"))],
+)
+def test_compute_check_names_both_plethysm_routes(capsys, method, route, check):
+    # (2)[(2)] at (2,2) is a class-sum triple: the engine against the oracle
+    code, out, _ = run(
+        capsys,
+        "compute", "plethysm", "--lambda", "2", "--mu", "2", "--nu", "2,2",
+        "--method", method, "--check", "--json",
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["route"] == route
+    assert (payload["check_method"], payload["check_route"]) == check
+    assert payload["value"] == payload["check_value"] == 1
+
+
+def test_compute_check_names_the_power_sum_route(capsys):
+    code, out, _ = run(
+        capsys,
+        "compute", "plethysm", "--lambda", "2", "--mu", "2", "--nu", "1,1,1,1",
+        "--check", "--json",
+    )
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert (payload["route"], payload["check_route"]) == ("power-sum", "jacobi-trudi")
+    assert payload["value"] == payload["check_value"] == 0
 
 
 @pytest.fixture

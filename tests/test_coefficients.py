@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from rectsym import coefficients, partitions, powersum
 from rectsym.coefficients import (
     PACK_BITS,
+    POLY_MAX_ARITY,
     ArityTooSmall,
     _pack,
     _unpack_key,
@@ -16,12 +17,16 @@ from rectsym.coefficients import (
     kronecker_oracle_table,
     lr_coefficient,
     lr_coefficient_oracle,
+    plethysm_class_sum,
     plethysm_coefficient,
     plethysm_oracle,
+    plethysm_route,
 )
 from rectsym.partitions import conjugate, contains, partitions_of
 from rectsym.polyring import LaurentPoly
 from rectsym.powersum import CharCache, NonIntegralResult, _ascending, _mask, char_row
+from rectsym.schur import schur_coefficients, schur_poly_of_partition
+from rectsym.symmetries import SweepBounds, SweepContext, verify_rule
 
 
 def test_lr_pieri_row():
@@ -408,3 +413,106 @@ def test_plethysm_matches_oracle_past_criterion_2(data):
     mu = data.draw(st.sampled_from(partitions_of(b)))
     nu = data.draw(st.sampled_from([p for p in partitions_of(a * b) if len(p) <= 5]))
     assert plethysm_coefficient(lam, mu, nu) == plethysm_oracle(lam, mu, nu)
+
+
+# ---------------------------------------------------------------------------
+# the two polynomial routes of the plethysm engine
+
+
+PLETHYSM_RULES = (
+    "pleth-box-inner",
+    "pleth-translate-inner",
+    "pleth-box-outer",
+    "pleth-translate-outer",
+)
+
+
+def _by_both_routes(lam, mu, n):
+    """The expansion of s_lam[s_mu] in n variables by the class sum and by
+    the Jacobi-Trudi determinant, each forced, from empty caches."""
+    g = schur_poly_of_partition(mu, n)
+    by_class_sum = schur_coefficients(coefficients._schur_at(lam, g, {}, CharCache()), n)
+    return by_class_sum, coefficients._jacobi_trudi_at(lam, g)
+
+
+def test_plethysm_routes_agree_in_criterion_2_range():
+    # criterion 2 now plays the determinant against itself wherever the
+    # engine takes it; here the two routes stay independent on its whole
+    # range, |lam| |mu| <= 8, at every arity up to POLY_MAX_ARITY
+    checked = 0
+    for a in range(1, 9):
+        for b in range(1, 8 // a + 1):
+            for lam in partitions_of(a):
+                for mu in partitions_of(b):
+                    for n in range(len(mu), POLY_MAX_ARITY + 1):
+                        by_class_sum, by_determinant = _by_both_routes(lam, mu, n)
+                        assert by_class_sum == by_determinant, (lam, mu, n)
+                        checked += 1
+    assert checked == 345
+
+
+def test_plethysm_routes_agree_on_the_sweeps_jacobi_trudi_expansions():
+    # every expansion the four plethysm rules send to the determinant at
+    # default bounds, against the class sum and against what the sweep read
+    ctx = SweepContext()
+    for rule in PLETHYSM_RULES:
+        assert not verify_rule(rule, SweepBounds(), ctx=ctx).counterexamples, rule
+    routed = [
+        (lam, mu, n)
+        for lam, mu, n in ctx.maps
+        if n <= POLY_MAX_ARITY
+        and coefficients._takes_jacobi_trudi(lam, schur_poly_of_partition(mu, n))
+    ]
+    assert ((2,) * 6, (2,), 3) in routed and ((1,) * 8, (3,), 3) in routed
+    for lam, mu, n in routed:
+        by_class_sum, by_determinant = _by_both_routes(lam, mu, n)
+        assert by_class_sum == by_determinant == ctx.maps[(lam, mu, n)], (lam, mu, n)
+
+
+# The cost estimates against a fixed panel, each key with the route that
+# was measured faster where it runs (times in CHANGES.md): the heavy outer
+# images and the inner keys inside the sweep, after the class sum's
+# products for their weight were built; the benchmark ladder's three-row
+# rungs cold, one call each.
+@pytest.mark.parametrize(
+    "lam, mu, n, route",
+    [
+        ((2,) * 6, (2,), 3, "jacobi-trudi"),
+        ((1,) * 8, (3,), 3, "jacobi-trudi"),
+        ((4, 4, 4), (1,), 3, "jacobi-trudi"),
+        ((2,), (5, 3), 3, "class-sum"),
+        ((3, 2, 1), (2, 1, 1), 3, "class-sum"),
+        ((2, 2, 2), (4,), 3, "jacobi-trudi"),
+        ((4,), (7,), 3, "jacobi-trudi"),
+        ((6,), (5,), 3, "jacobi-trudi"),
+    ],
+)
+def test_plethysm_cost_estimates_rank_the_measured_panel(lam, mu, n, route):
+    counts = coefficients._alphabet_counts(schur_poly_of_partition(mu, n))
+    by_determinant = coefficients._jacobi_trudi_cost(lam, *counts)
+    by_class_sum = coefficients._class_sum_cost(lam, *counts)
+    assert (by_determinant < by_class_sum) == (route == "jacobi-trudi")
+    nu = (sum(lam) * sum(mu) - n + 1,) + (1,) * (n - 1)
+    assert plethysm_route(lam, mu, nu) == route
+
+
+def test_plethysm_cost_estimates_list_no_partition(monkeypatch):
+    # p(300) comes from the counts of partitions with bounded parts; listing
+    # the partitions of 300 would not finish
+    def refuse(*args, **kwargs):
+        raise AssertionError("an estimate listed partitions")
+
+    for module in (coefficients, partitions):
+        monkeypatch.setattr(module, "partitions_of", refuse)
+    counts = coefficients._alphabet_counts(schur_poly_of_partition((2,), 3))
+    for lam in ((300,), (1,) * 300, (100, 100, 100)):
+        assert coefficients._class_sum_cost(lam, *counts) > 0
+        assert coefficients._jacobi_trudi_cost(lam, *counts) > 0
+        assert plethysm_route(lam, (2,), (200, 200, 200)) in ("class-sum", "jacobi-trudi")
+
+
+def test_plethysm_routes_name_the_power_sums_past_three_rows():
+    assert plethysm_route((4,), (4, 4), (16, 8, 4, 4)) == "power-sum"
+    assert plethysm_route((2,), (2,), (2, 2)) == "class-sum"
+    assert plethysm_class_sum((2,) * 6, (2,), (8, 8, 8)) == 1
+    assert plethysm_class_sum((2,), (2,), (5,)) == 0  # weight mismatch
