@@ -22,8 +22,8 @@ from dataclasses import asdict
 from .coefficients import (
     kronecker_oracle,
     lr_coefficient_oracle,
-    plethysm_class_sum,
     plethysm_oracle,
+    plethysm_power_sum,
     plethysm_route,
 )
 from .hall_littlewood import kostka_foulkes_oracle
@@ -101,16 +101,11 @@ def _compute_value(family, indices, method):
 
 
 def _pleth_routes(indices, method):
-    """(route, check method, check route) of compute plethysm: the route that
-    gives the value by method, and the route not taken that --check plays
-    against it.  Where the engine takes Jacobi-Trudi, the oracle's route,
-    the check is the class sum; elsewhere it is the other method."""
-    engine = plethysm_route(*indices)
-    if engine == "jacobi-trudi":
-        return engine, "main", "class-sum"
-    if method == "oracle":
-        return "jacobi-trudi", "main", engine
-    return engine, "oracle", "jacobi-trudi"
+    """(route, check route) of compute plethysm: the route that gives the
+    value by method (the oracle's is Jacobi-Trudi), and the other of
+    Jacobi-Trudi and the power sums, which --check plays against it."""
+    route = "jacobi-trudi" if method == "oracle" else plethysm_route(*indices)
+    return route, "power-sum" if route == "jacobi-trudi" else "jacobi-trudi"
 
 
 def cmd_compute(args):
@@ -129,11 +124,11 @@ def cmd_compute(args):
     route = check_route = None
     other_method = "oracle" if args.method == "main" else "main"
     if args.family == "plethysm":
-        route, other_method, check_route = _pleth_routes(indices, args.method)
+        route, check_route = _pleth_routes(indices, args.method)
         payload["route"] = route
     if args.check:
-        if check_route == "class-sum":
-            other = plethysm_class_sum(*indices)
+        if check_route == "power-sum":
+            other = plethysm_power_sum(*indices)
         else:
             other = _compute_value(args.family, indices, other_method)
         payload["check_method"] = other_method
@@ -367,8 +362,8 @@ def build_parser():
     p.add_argument(
         "--check",
         action="store_true",
-        help="compare with the route not taken: the other method, or the class "
-        "sum for a plethysm the engine takes by Jacobi-Trudi",
+        help="compare with the route not taken: the other method, or for a "
+        "plethysm the other of Jacobi-Trudi and the power sums",
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_compute)

@@ -11,20 +11,19 @@ can be played against each other:
   kron oracle  Garsia-Remmel sum: Jacobi-Trudi on s_lam in the h basis, each
                <h_alpha * s_mu, s_nu> a dynamic program over pairs of
                sub-partitions of (mu, nu) weighted by lattice-word LR counts
-  pleth      s_lam[s_mu] by one of three routes, a pure function of
-             (lam, mu, length(nu)) (plethysm_route).  Up to POLY_MAX_ARITY
-             rows of nu, a polynomial in length(nu) variables on
-             packed-integer monomials, read with schur_coefficients: the
-             integer class sum of s_mu(x^k) over the classes of S_|lam|, or
-             the Jacobi-Trudi determinant over the alphabet of s_mu,
-             whichever of two cost estimates is lower.  Longer nu, the class
-             sum in the power sum basis paired with chi^nu over
-             |lam|! |mu|!^|lam|.  Class-sum products cached per (mu, n),
-             expansions of every route per (lam, mu, n)
+  pleth      s_lam[s_mu] by one of two routes, chosen by length(nu) alone
+             (plethysm_route).  Up to POLY_MAX_ARITY rows of nu, the
+             Jacobi-Trudi determinant over the alphabet of s_mu in
+             length(nu) variables, on packed-integer monomials, read with
+             schur_coefficients.  Longer nu, the class sum in the power sum
+             basis paired with chi^nu over |lam|! |mu|!^|lam|.  Power sum
+             products cached per (mu, n), expansions of both routes per
+             (lam, mu, n)
   pleth oracle  the Jacobi-Trudi determinant alone, over h or e evaluated
-               on the monomials of the inner Schur polynomial; where the
-               engine takes the same determinant, compute --check plays it
-               against the class sum instead (plethysm_class_sum)
+               on the monomials of the inner Schur polynomial.  Up to
+               POLY_MAX_ARITY rows the engine takes the same determinant, so
+               the check of a determinant value is the power sum route at
+               any arity (plethysm_power_sum), which expands no determinant
 
 The two oracles and the engine's Jacobi-Trudi route expand their
 determinant with the one routine _jacobi_trudi, on packed monomials, each
@@ -40,7 +39,7 @@ solve of s_lam = sum K_(lam,rho)(t) P_rho in the Schur basis as its oracle.
 """
 
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 from operator import add, lshift, mul
 
 from .partitions import (
@@ -55,7 +54,6 @@ from .powersum import (
     CharCache,
     NonIntegralResult,
     _ascending_sizes,
-    _bounded_counts,
     _position,
     _row,
 )
@@ -149,16 +147,16 @@ def lr_coefficient_oracle(lam, mu, nu):
 
 
 # ---------------------------------------------------------------------------
-# Schur functions evaluated at the monomials of a polynomial
+# Packed monomials
 
 
 # Bits per exponent in a packed monomial: x^e becomes the int
-# sum_i e_i << (PACK_BITS * i).  On the polynomial route every exponent is
+# sum_i e_i << (PACK_BITS * i).  In a plethysm determinant every exponent is
 # nonnegative and at most |nu|, so while |nu| < 2^PACK_BITS no field carries
-# into the next: a product of monomials is one int add, and g(x^k) multiplies
-# every key by k.  The width is fixed, not chosen per call, because the
-# packed products are shared by calls with different |lam| at one (mu, n).
-# Three fields fit in 60 bits, where CPython still hashes an int to itself.
+# into the next and a product of monomials is one int add.  One fixed width
+# serves the plethysm and the Kronecker determinants alike, so _unpack_key
+# reads any packed key back with the arity alone.  Three fields fit in 60
+# bits, where CPython still hashes an int to itself.
 PACK_BITS = 20
 
 
@@ -179,94 +177,6 @@ def _unpack_key(key, n):
     """The exponent tuple of a packed monomial in n variables."""
     mask = (1 << PACK_BITS) - 1
     return tuple([(key >> field) & mask for field in range(0, PACK_BITS * n, PACK_BITS)])
-
-
-def _weighted_classes(lam, cache):
-    """(rho, (N!/z_rho) chi^lam(rho)) over the cycle types rho of N = |lam|
-    where chi^lam is nonzero, lex-ascending."""
-    N = sum(lam)
-    classes = zip(reversed(partitions_of(N)), _ascending_sizes(N, N), _row(lam, cache))
-    return [(rho, size * chi) for rho, size, chi in classes if chi]
-
-
-def _class_sum(lam, cache, products, factor):
-    """{key: sum over cycle types rho of (N!/z_rho) chi^lam(rho)
-    [key] prod_i F(rho_i)}, with N = |lam|, where factor(k, rest) is F(k)
-    times the dict rest.  products memoises the products prod_i F(rho_i)
-    by suffix of rho and holds the empty product at ()."""
-    acc = {}
-    get = acc.get
-    for rho, w in _weighted_classes(lam, cache):
-        for key, c in _product(rho, products, factor).items():
-            acc[key] = get(key, 0) + w * c
-    return acc
-
-
-def _product(rho, products, factor):
-    """prod_i F(rho_i), from the product of rho[1:]; memoised in products."""
-    out = products.get(rho)
-    if out is None:
-        out = products[rho] = factor(rho[0], _product(rho[1:], products, factor))
-    return out
-
-
-def _schur_at(lam, g, products, cache):
-    """s_lam evaluated at the monomials of the polynomial g: the class sum
-    with F(k) = g(x^k), divided exactly by N! = |lam|!; a remainder raises
-    NonIntegralResult.  The sum runs on packed monomials (_pack, ValueError
-    past its degree bound) and is unpacked once into the returned
-    LaurentPoly.  products caches the packed products of g, keyed by cycle
-    type; it serves one g and may be shared by calls with any lam."""
-    N = sum(lam)
-    base = _pack(g, N * max(map(sum, g.terms), default=0))
-    products.setdefault((), {0: 1})
-
-    def factor(k, rest):
-        out = {}
-        get = out.get
-        for e2, c2 in base.items():
-            e2 *= k
-            for e1, c1 in rest.items():
-                e = e1 + e2
-                out[e] = get(e, 0) + c1 * c2
-        return out
-
-    whole = factorial(N)
-    out = LaurentPoly(g.arity)
-    for e, c in _class_sum(lam, cache, products, factor).items():
-        q, rem = divmod(c, whole)
-        if rem:
-            e = _unpack_key(e, g.arity)
-            raise NonIntegralResult(f"s_{lam} at x^{e} is {c}/{N}!, not an integer")
-        if q:
-            out.terms[_unpack_key(e, g.arity)] = q
-    return out
-
-
-def _p_expansion(lam, mu, products, cache):
-    """a! b!^a s_lam[s_mu] as {_position(tau): coefficient of p_tau},
-    with a = |lam| and b = |mu|: the class sum with F(k) = b!^(k-1) G[p_k],
-    where G = sum_sigma (b!/z_sigma) chi^mu(sigma) p_sigma = b! s_mu (the
-    factors b!^(rho_i - 1) make up b!^(a - length(rho))).  products, keyed
-    by cycle type, serves one mu and may be shared by calls with any lam."""
-    b = sum(mu)
-    g = _weighted_classes(mu, cache)
-    products.setdefault((), {(): 1})
-
-    def factor(k, rest):
-        scale = factorial(b) ** (k - 1)
-        out = {}
-        get = out.get
-        for sigma, d in g:
-            d *= scale
-            sigma = tuple(k * s for s in sigma)
-            for tau, c in rest.items():
-                key = tuple(sorted(tau + sigma, reverse=True))
-                out[key] = get(key, 0) + c * d
-        return out
-
-    expansion = _class_sum(lam, cache, products, factor)
-    return {_position(tau): c for tau, c in expansion.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -445,15 +355,17 @@ def kronecker_oracle(lam, mu, nu, l, m, cache=None, table=None):
 # plethysm
 
 
-# Up to this many rows of nu, plethysm_coefficient evaluates s_lam[s_mu] as a
-# polynomial in length(nu) variables, by the class sum or by the Jacobi-Trudi
-# determinant, whichever _takes_jacobi_trudi estimates cheaper; longer nu
-# take the power sum expansion _p_expansion, whatever lam is.  Measured cold
-# (2 vCPUs, Python 3.11.7): the rung (4)[(4,4)] at (16,8,4,4) takes 37 ms by
-# power sums, 41 ms by Jacobi-Trudi and 97 ms by the class sum.  Up to three
-# rows the polynomial wins: with power sums alone the four plethysm rules at
-# SweepBounds() take 80-127 ms each instead of 32-68 ms, and the five
-# three-row rungs of the benchmark ladder 7-31 ms instead of 0.3-5.6 ms.
+# Up to this many rows of nu, plethysm_coefficient expands s_lam[s_mu] by the
+# Jacobi-Trudi determinant over the alphabet of s_mu in length(nu) variables;
+# longer nu take the power sum expansion _p_expansion, whatever lam is.
+# Measured cold (2 vCPUs, Python 3.11.7): the rung (4)[(4,4)] at
+# (16,8,4,4) takes 37 ms by power sums and 41 ms by Jacobi-Trudi, and the
+# determinant at every arity made the benchmark's sweep reduce_s 17.8% and
+# its ladder pleth_s 8.7% slower.  Up to three rows the determinant wins:
+# with power sums alone the four plethysm rules at SweepBounds() take
+# 85-133 ms each instead of 45-85 ms, and the five three-row rungs of the
+# benchmark ladder 4.8-21 ms instead of 0.2-5.7 ms (medians of three cold
+# runs).
 POLY_MAX_ARITY = 3
 
 
@@ -461,21 +373,16 @@ def plethysm_coefficient(lam, mu, nu, cache=None, powers=None, maps=None):
     """Multiplicity of s_nu in s_lam[s_mu].  Each index must be a partition
     (trailing zeros allowed), else ValueError.
 
-    The route is a pure function of (lam, mu, length(nu)); plethysm_route
-    names it.  Up to POLY_MAX_ARITY rows of nu, s_lam[s_mu] is evaluated as
-    a polynomial in length(nu) variables on packed monomials (ValueError
-    when |nu| >= 2^PACK_BITS) and read with schur_coefficients, by whichever
-    of two routes the cost estimates find cheaper: the class sum
-    sum_rho (|lam|!/z_rho) chi^lam(rho) prod_i s_mu(x^(k rho_i)), divided
-    exactly by |lam|!, or the Jacobi-Trudi determinant over the alphabet of
-    s_mu.  Longer nu take the class sum with
-    F(k) = |mu|!^(k-1) |mu|! s_mu[p_k], paired with chi^nu and divided
-    exactly by |lam|! |mu|!^|lam|.  A class sum raises NonIntegralResult on
-    a remainder.  cache is a CharCache.  powers and maps are dicts that may
-    be shared across calls: powers maps (mu, n) to the class sums' products
-    keyed by rho, and maps (lam, mu, n) to the Schur coefficients, or to
-    the _p_expansion past POLY_MAX_ARITY rows, whichever route computed
-    them.
+    The route depends on length(nu) alone; plethysm_route names it.  Up to
+    POLY_MAX_ARITY rows of nu, the Jacobi-Trudi determinant over the
+    alphabet of s_mu in length(nu) variables, on packed monomials
+    (ValueError when |nu| >= 2^PACK_BITS), read with schur_coefficients.
+    Longer nu take the power sum expansion _p_expansion, paired with chi^nu
+    and divided exactly by |lam|! |mu|!^|lam| (NonIntegralResult on a
+    remainder).  cache is a CharCache.  powers and maps are dicts that may
+    be shared across calls: powers maps (mu, n) to the power sum products
+    keyed by rho, and maps (lam, mu, n) to the Schur coefficients up to
+    POLY_MAX_ARITY rows, or to the _p_expansion past them.
     """
     lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
     if sum(lam) * sum(mu) != sum(nu):
@@ -489,19 +396,89 @@ def plethysm_coefficient(lam, mu, nu, cache=None, powers=None, maps=None):
     key = (lam, mu, n)
     coeffs = maps.get(key) if maps is not None else None
     if coeffs is None:
-        products = {} if powers is None else powers.setdefault((mu, n), {})
-        if n > POLY_MAX_ARITY:
-            coeffs = _p_expansion(lam, mu, products, cache)
+        if n <= POLY_MAX_ARITY:
+            coeffs = _jacobi_trudi_at(lam, schur_poly_of_partition(mu, n))
         else:
-            g = schur_poly_of_partition(mu, n)
-            if _takes_jacobi_trudi(lam, g):
-                coeffs = _jacobi_trudi_at(lam, g)
-            else:
-                coeffs = schur_coefficients(_schur_at(lam, g, products, cache), n)
+            products = {} if powers is None else powers.setdefault((mu, n), {})
+            coeffs = _p_expansion(lam, mu, products, cache)
         if maps is not None:
             maps[key] = coeffs
     if n <= POLY_MAX_ARITY:
         return coeffs.get(nu, 0)
+    return _paired_with_chi(coeffs, lam, mu, nu, cache)
+
+
+def plethysm_route(lam, mu, nu):
+    """The route plethysm_coefficient takes for these indices:
+    "jacobi-trudi" up to POLY_MAX_ARITY rows of nu, "power-sum" past them.
+    Each index must be a partition (trailing zeros allowed), else
+    ValueError."""
+    lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
+    return "jacobi-trudi" if len(nu) <= POLY_MAX_ARITY else "power-sum"
+
+
+def plethysm_power_sum(lam, mu, nu):
+    """Multiplicity of s_nu in s_lam[s_mu] by the power sum route at any
+    length(nu), whatever route plethysm_coefficient takes: the check of a
+    Jacobi-Trudi value, which reads characters and expands no determinant.
+    Each index must be a partition (trailing zeros allowed), else
+    ValueError."""
+    lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
+    if sum(lam) * sum(mu) != sum(nu):
+        return 0
+    cache = CharCache()
+    return _paired_with_chi(_p_expansion(lam, mu, {}, cache), lam, mu, nu, cache)
+
+
+def _weighted_classes(lam, cache):
+    """(rho, (N!/z_rho) chi^lam(rho)) over the cycle types rho of N = |lam|
+    where chi^lam is nonzero, lex-ascending."""
+    N = sum(lam)
+    classes = zip(reversed(partitions_of(N)), _ascending_sizes(N, N), _row(lam, cache))
+    return [(rho, size * chi) for rho, size, chi in classes if chi]
+
+
+def _p_expansion(lam, mu, products, cache):
+    """a! b!^a s_lam[s_mu] as {_position(tau): coefficient of p_tau},
+    with a = |lam| and b = |mu|: the class sum over the cycle types rho of
+    a, sum_rho (a!/z_rho) chi^lam(rho) prod_i F(rho_i), with
+    F(k) = b!^(k-1) G[p_k], where G = sum_sigma (b!/z_sigma) chi^mu(sigma)
+    p_sigma = b! s_mu (the factors b!^(rho_i - 1) make up
+    b!^(a - length(rho))).  products memoises the products prod_i F(rho_i)
+    by suffix of rho; it serves one mu and may be shared by calls with any
+    lam."""
+    b = sum(mu)
+    g = _weighted_classes(mu, cache)
+    products.setdefault((), {(): 1})
+
+    def product(rho):
+        out = products.get(rho)
+        if out is None:
+            k, rest = rho[0], product(rho[1:])
+            scale = factorial(b) ** (k - 1)
+            out = {}
+            get = out.get
+            for sigma, d in g:
+                d *= scale
+                sigma = tuple(k * s for s in sigma)
+                for tau, c in rest.items():
+                    key = tuple(sorted(tau + sigma, reverse=True))
+                    out[key] = get(key, 0) + c * d
+            products[rho] = out
+        return out
+
+    acc = {}
+    get = acc.get
+    for rho, w in _weighted_classes(lam, cache):
+        for tau, c in product(rho).items():
+            acc[tau] = get(tau, 0) + w * c
+    return {_position(tau): c for tau, c in acc.items() if c}
+
+
+def _paired_with_chi(coeffs, lam, mu, nu, cache):
+    """<s_lam[s_mu], s_nu> from coeffs = _p_expansion(lam, mu, ..): paired
+    with chi^nu and divided exactly by |lam|! |mu|!^|lam|; a remainder
+    raises NonIntegralResult."""
     row = _row(nu, cache)
     total = sum(c * row[i] for i, c in coeffs.items())
     a, b = sum(lam), sum(mu)
@@ -509,101 +486,6 @@ def plethysm_coefficient(lam, mu, nu, cache=None, powers=None, maps=None):
     if rem:
         raise NonIntegralResult(f"<s_{lam}[s_{mu}], s_{nu}> = {total}/({a}! {b}!^{a})")
     return q
-
-
-def plethysm_route(lam, mu, nu):
-    """The route plethysm_coefficient takes for these indices: "power-sum"
-    past POLY_MAX_ARITY rows of nu, else "jacobi-trudi" where its cost
-    estimate is below the class sum's, else "class-sum".  Each index must be
-    a partition (trailing zeros allowed), else ValueError."""
-    lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
-    n = len(nu)
-    if n > POLY_MAX_ARITY:
-        return "power-sum"
-    g = schur_poly_of_partition(mu, n)
-    if g and _takes_jacobi_trudi(lam, g):
-        return "jacobi-trudi"
-    return "class-sum"
-
-
-def plethysm_class_sum(lam, mu, nu):
-    """Multiplicity of s_nu in s_lam[s_mu] by the polynomial class sum in
-    length(nu) variables, whatever route plethysm_coefficient takes: the
-    check of a Jacobi-Trudi-routed value.  Each index must be a partition
-    (trailing zeros allowed), else ValueError."""
-    lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
-    if sum(lam) * sum(mu) != sum(nu):
-        return 0
-    n = len(nu)
-    if len(mu) > n:
-        return 0 if lam else 1
-    poly = _schur_at(lam, schur_poly_of_partition(mu, n), {}, CharCache())
-    return schur_coefficients(poly, n).get(nu, 0)
-
-
-# The two cost estimates of the polynomial routes, in dict updates, for
-# s_lam evaluated at the r letters of degree b in n variables that make up a
-# nonzero Schur polynomial g (_alphabet_counts): pure functions of lam and those
-# counts that list no partition.  Neither route's result has more terms
-# than the monomials of degree |lam| b in n variables, nor than the
-# multisets of |lam| letters (_terms).  Ties go to the class sum.
-
-
-def _takes_jacobi_trudi(lam, g):
-    """Whether s_lam at the monomials of the nonzero Schur polynomial g goes
-    to _jacobi_trudi_at rather than to the class sum _schur_at."""
-    counts = _alphabet_counts(g)
-    return _jacobi_trudi_cost(lam, *counts) < _class_sum_cost(lam, *counts)
-
-
-def _class_sum_cost(lam, n, b, r):
-    """p(|lam|) classes, read from the counts of partitions with bounded
-    parts, each adding one product of up to _terms terms; the products
-    themselves are shared across calls (powers)."""
-    N = sum(lam)
-    return _bounded_counts(N)[N] * _terms(N, n, b, r)
-
-
-def _jacobi_trudi_cost(lam, n, b, r):
-    """The determinant's d 2^(d-1) products of an entry by a minor, with
-    d = min(length(lam), lam_1) and the minors memoised by column set
-    (_jacobi_trudi), each of up to _terms terms; plus the table: the h table
-    (lam shorter) up to k = lam_1 + length(lam) - 1, or the e table (lam'
-    shorter) up to k = min(that, r), built in r k passes, one per letter and
-    entry.  Its entry j has at most the multisets (h) or sets (e) of j
-    letters and the monomials of degree j b; summed over j <= k, at most
-    C(k + r, k) multisets or 2^r sets, and at most (k + n)/n times the
-    monomials of degree k b (with equality at b = 1)."""
-    if not lam:
-        return 1
-    k = lam[0] + len(lam) - 1
-    if len(lam) <= lam[0]:
-        letters = comb(k + r, k)
-    else:
-        k = min(k, r)
-        letters = 1 << r
-    monomials = (k + n) * _monomials(k * b, n) // n if n else k + 1
-    table = r * k + min(letters, monomials)
-    d = min(len(lam), lam[0])
-    return (d << (d - 1)) * _terms(sum(lam), n, b, r) + table
-
-
-def _alphabet_counts(g):
-    """(n, b, r) for the nonzero Schur polynomial g: its variables, its
-    degree and its letters, which are its monomials with multiplicity."""
-    return g.arity, sum(next(iter(g.terms))), sum(g.terms.values())
-
-
-def _terms(N, n, b, r):
-    """A bound on the terms of a polynomial of degree N in r letters of
-    degree b in n variables: its monomials, or its multisets of letters."""
-    return min(_monomials(N * b, n), comb(N + r - 1, N))
-
-
-def _monomials(degree, n):
-    """The number of monomials of the given degree in n variables (in no
-    variables only the degree 0 occurs here: s_() is the constant 1)."""
-    return comb(degree + n - 1, degree) if n else 1
 
 
 def _h_table(alphabet, kmax):

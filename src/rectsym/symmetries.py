@@ -367,14 +367,15 @@ class SweepBounds:
 class SweepContext:
     """Caches scoped to one sweep: the character rows of a CharCache (each
     shape's row built block by block, as far as the largest part bound any
-    call asked of it), the plethysm engine's caches (powers: the class sums'
-    products prod_i F(rho_i) per (mu, n), keyed by rho; maps: the expansion
-    of s_lam[s_mu] per (lam, mu, n) by whichever route took it, Schur
-    coefficients or power sum coefficients), and four value memos, one per
-    family.  kron is keyed by the sorted triple, lr and pleth by the ordered
-    triple (lam, mu, nu) and kf by the ordered pair (lam, mu); no key uses
-    any of the rules the sweeps check.  The keys record every value a sweep
-    read.
+    call asked of it), the plethysm engine's caches (powers: the power sum
+    route's products prod_i F(rho_i) per (mu, n), keyed by rho, filled only
+    past three rows of nu; maps: the expansion of s_lam[s_mu] per
+    (lam, mu, n), Schur coefficients from the Jacobi-Trudi determinant up
+    to three rows or power sum coefficients past them), and four value
+    memos, one per family.  kron is keyed by the sorted triple, lr and pleth
+    by the ordered triple (lam, mu, nu) and kf by the ordered pair
+    (lam, mu); no key uses any of the rules the sweeps check.  The keys
+    record every value a sweep read.
 
     coefficient_of validates its indices before it reads or writes these.
     The sweeps skip that step: they generate their instances as partitions

@@ -114,11 +114,11 @@ def test_compute_check_agrees_for_every_family(capsys, family, indices, method, 
     assert payload["agrees"] is True
 
 
-def test_compute_check_plays_a_jacobi_trudi_value_against_the_class_sum(
+def test_compute_check_plays_a_jacobi_trudi_value_against_the_power_sums(
     capsys, monkeypatch
 ):
     # s_(2^6)[s_2] at (8,8,8) is 1.  The engine takes the determinant, the
-    # oracle's own route, so the check must take the class sum: a second
+    # oracle's own route, so the check must take the power sums: a second
     # determinant (the engine's is the first) or the oracle raises.
     determinants = []
     real_determinant = coefficients._jacobi_trudi_at
@@ -132,12 +132,12 @@ def test_compute_check_plays_a_jacobi_trudi_value_against_the_class_sum(
     def no_oracle(*args):
         raise AssertionError("the check ran the Jacobi-Trudi oracle")
 
-    class_sums = []
-    real_class_sum = coefficients._schur_at
+    power_sums = []
+    real_power_sum = coefficients._p_expansion
     monkeypatch.setattr(coefficients, "_jacobi_trudi_at", determinant_once)
     monkeypatch.setattr(cli, "plethysm_oracle", no_oracle)
     monkeypatch.setattr(
-        coefficients, "_schur_at", lambda *args: class_sums.append(args) or real_class_sum(*args)
+        coefficients, "_p_expansion", lambda *args: power_sums.append(args) or real_power_sum(*args)
     )
     code, out, _ = run(
         capsys,
@@ -149,17 +149,21 @@ def test_compute_check_plays_a_jacobi_trudi_value_against_the_class_sum(
     payload = json.loads(out)
     assert payload["value"] == payload["check_value"] == 1
     assert payload["route"] == "jacobi-trudi"
-    assert (payload["check_method"], payload["check_route"]) == ("main", "class-sum")
+    assert (payload["check_method"], payload["check_route"]) == ("oracle", "power-sum")
     assert payload["agrees"] is True
-    assert len(determinants) == 1 and len(class_sums) == 1
+    assert len(determinants) == 1 and len(power_sums) == 1
 
 
 @pytest.mark.parametrize(
     "method, route, check",
-    [("main", "class-sum", ("oracle", "jacobi-trudi")), ("oracle", "jacobi-trudi", ("main", "class-sum"))],
+    [
+        ("main", "jacobi-trudi", ("oracle", "power-sum")),
+        ("oracle", "jacobi-trudi", ("main", "power-sum")),
+    ],
 )
 def test_compute_check_names_both_plethysm_routes(capsys, method, route, check):
-    # (2)[(2)] at (2,2) is a class-sum triple: the engine against the oracle
+    # (2)[(2)] at (2,2): the engine takes the determinant, the oracle's
+    # route, so under either method the check is the power sums
     code, out, _ = run(
         capsys,
         "compute", "plethysm", "--lambda", "2", "--mu", "2", "--nu", "2,2",

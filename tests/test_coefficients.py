@@ -17,15 +17,15 @@ from rectsym.coefficients import (
     kronecker_oracle_table,
     lr_coefficient,
     lr_coefficient_oracle,
-    plethysm_class_sum,
     plethysm_coefficient,
     plethysm_oracle,
+    plethysm_power_sum,
     plethysm_route,
 )
 from rectsym.partitions import conjugate, contains, partitions_of
 from rectsym.polyring import LaurentPoly
 from rectsym.powersum import CharCache, NonIntegralResult, _ascending, _mask, char_row
-from rectsym.schur import schur_coefficients, schur_poly_of_partition
+from rectsym.schur import schur_poly_of_partition
 from rectsym.symmetries import SweepBounds, SweepContext, verify_rule
 
 
@@ -330,12 +330,12 @@ def test_plethysm_full_expansions_weight_4():
 
 @pytest.mark.parametrize(
     "mu, nu",
-    [((1,), (2,)), ((1, 1), (1, 1, 1, 1))],
-    ids=["one-row", "four-rows"],
+    [((1, 1), (1, 1, 1, 1))],
+    ids=["four-rows"],
 )
 def test_plethysm_non_integral_sum_raises(mu, nu):
     # a doctored outer character row leaves a remainder in the exact
-    # division, on the polynomial route and on the power sum route
+    # division of the power sum route
     cache = CharCache()
     row = char_row((2,), cache)
     cache.rows[(2,)] = (row[0] + 1,) + row[1:]
@@ -358,9 +358,9 @@ def test_plethysm_against_evaluation_oracle():
 
 def test_plethysm_shared_caches_across_outer_weights():
     # one powers/maps pair serves calls whose lam grow in weight at the same
-    # (mu, n): the products cached by the first, lightest call must stay
-    # exact for the heavier ones, packed monomials up to three rows and the
-    # power sum basis at four
+    # (mu, n): the power sum products cached by the first, lightest call at
+    # four rows must stay exact for the heavier ones; up to three rows the
+    # determinant fills maps and no products
     cache, powers, maps = CharCache(), {}, {}
     for n in (1, 2, 3, 4):
         for mu in ((1,), (2,), (1, 1), (2, 1)):
@@ -376,7 +376,8 @@ def test_plethysm_shared_caches_across_outer_weights():
                         shared = plethysm_coefficient(lam, mu, nu, cache, powers, maps)
                         assert shared == plethysm_coefficient(lam, mu, nu), (lam, mu, nu)
                         assert shared == plethysm_oracle(lam, mu, nu), (lam, mu, nu)
-                        assert (mu, n) in powers and (lam, mu, n) in maps, (lam, mu, nu)
+                        assert (lam, mu, n) in maps, (lam, mu, nu)
+                        assert ((mu, n) in powers) == (n > POLY_MAX_ARITY), (lam, mu, nu)
             if (mu, n) in powers:
                 assert len({sum(rho) for rho in powers[(mu, n)]}) > 2, (mu, n)
 
@@ -416,7 +417,7 @@ def test_plethysm_matches_oracle_past_criterion_2(data):
 
 
 # ---------------------------------------------------------------------------
-# the two polynomial routes of the plethysm engine
+# the determinant against the power sums
 
 
 PLETHYSM_RULES = (
@@ -427,92 +428,75 @@ PLETHYSM_RULES = (
 )
 
 
-def _by_both_routes(lam, mu, n):
-    """The expansion of s_lam[s_mu] in n variables by the class sum and by
-    the Jacobi-Trudi determinant, each forced, from empty caches."""
-    g = schur_poly_of_partition(mu, n)
-    by_class_sum = schur_coefficients(coefficients._schur_at(lam, g, {}, CharCache()), n)
-    return by_class_sum, coefficients._jacobi_trudi_at(lam, g)
+@pytest.fixture(scope="module")
+def power_sums():
+    """<s_lam[s_mu], s_nu> by the power sum route of plethysm_power_sum,
+    with one CharCache and one product memo per mu shared by every call of
+    the module, and each expansion kept per (lam, mu)."""
+    cache, products, expansions = CharCache(), {}, {}
+
+    def value(lam, mu, nu):
+        coeffs = expansions.get((lam, mu))
+        if coeffs is None:
+            coeffs = expansions[(lam, mu)] = coefficients._p_expansion(
+                lam, mu, products.setdefault(mu, {}), cache
+            )
+        return coefficients._paired_with_chi(coeffs, lam, mu, nu, cache)
+
+    return value
 
 
-def test_plethysm_routes_agree_in_criterion_2_range():
-    # criterion 2 now plays the determinant against itself wherever the
-    # engine takes it; here the two routes stay independent on its whole
-    # range, |lam| |mu| <= 8, at every arity up to POLY_MAX_ARITY
+def test_plethysm_routes_agree_in_criterion_2_range(power_sums):
+    # criterion 2 plays the determinant against itself up to three rows;
+    # here the power sums check it on the whole of its range that the
+    # determinant takes, |lam| |mu| <= 8 and length(mu) <= length(nu) <= 3
     checked = 0
     for a in range(1, 9):
         for b in range(1, 8 // a + 1):
             for lam in partitions_of(a):
                 for mu in partitions_of(b):
-                    for n in range(len(mu), POLY_MAX_ARITY + 1):
-                        by_class_sum, by_determinant = _by_both_routes(lam, mu, n)
-                        assert by_class_sum == by_determinant, (lam, mu, n)
+                    for nu in partitions_of(a * b, POLY_MAX_ARITY):
+                        if len(nu) < len(mu):
+                            continue
+                        g = schur_poly_of_partition(mu, len(nu))
+                        by_determinant = coefficients._jacobi_trudi_at(lam, g).get(nu, 0)
+                        assert power_sums(lam, mu, nu) == by_determinant, (lam, mu, nu)
                         checked += 1
-    assert checked == 345
+    assert checked == 919
 
 
-def test_plethysm_routes_agree_on_the_sweeps_jacobi_trudi_expansions():
-    # every expansion the four plethysm rules send to the determinant at
-    # default bounds, against the class sum and against what the sweep read
+def test_plethysm_routes_agree_on_the_sweeps_jacobi_trudi_expansions(power_sums):
+    # every value, zeros included, of every expansion the four plethysm
+    # rules read from the determinant at default bounds, against the power
+    # sums: each nu of weight |lam| |mu| with at most n rows
     ctx = SweepContext()
     for rule in PLETHYSM_RULES:
         assert not verify_rule(rule, SweepBounds(), ctx=ctx).counterexamples, rule
-    routed = [
-        (lam, mu, n)
-        for lam, mu, n in ctx.maps
-        if n <= POLY_MAX_ARITY
-        and coefficients._takes_jacobi_trudi(lam, schur_poly_of_partition(mu, n))
-    ]
+    routed = [key for key in ctx.maps if key[2] <= POLY_MAX_ARITY]
     assert ((2,) * 6, (2,), 3) in routed and ((1,) * 8, (3,), 3) in routed
+    checked = 0
     for lam, mu, n in routed:
-        by_class_sum, by_determinant = _by_both_routes(lam, mu, n)
-        assert by_class_sum == by_determinant == ctx.maps[(lam, mu, n)], (lam, mu, n)
+        expansion = ctx.maps[(lam, mu, n)]
+        for nu in partitions_of(sum(lam) * sum(mu), n):
+            assert power_sums(lam, mu, nu) == expansion.get(nu, 0), (lam, mu, nu)
+            checked += 1
+    assert (len(routed), checked) == (658, 8423)
 
 
-# The cost estimates against a fixed panel, each key with the route that
-# was measured faster where it runs (times in CHANGES.md): the heavy outer
-# images and the inner keys inside the sweep, after the class sum's
-# products for their weight were built; the benchmark ladder's three-row
-# rungs cold, one call each.
-@pytest.mark.parametrize(
-    "lam, mu, n, route",
-    [
-        ((2,) * 6, (2,), 3, "jacobi-trudi"),
-        ((1,) * 8, (3,), 3, "jacobi-trudi"),
-        ((4, 4, 4), (1,), 3, "jacobi-trudi"),
-        ((2,), (5, 3), 3, "class-sum"),
-        ((3, 2, 1), (2, 1, 1), 3, "class-sum"),
-        ((2, 2, 2), (4,), 3, "jacobi-trudi"),
-        ((4,), (7,), 3, "jacobi-trudi"),
-        ((6,), (5,), 3, "jacobi-trudi"),
-    ],
-)
-def test_plethysm_cost_estimates_rank_the_measured_panel(lam, mu, n, route):
-    counts = coefficients._alphabet_counts(schur_poly_of_partition(mu, n))
-    by_determinant = coefficients._jacobi_trudi_cost(lam, *counts)
-    by_class_sum = coefficients._class_sum_cost(lam, *counts)
-    assert (by_determinant < by_class_sum) == (route == "jacobi-trudi")
-    nu = (sum(lam) * sum(mu) - n + 1,) + (1,) * (n - 1)
-    assert plethysm_route(lam, mu, nu) == route
-
-
-def test_plethysm_cost_estimates_list_no_partition(monkeypatch):
-    # p(300) comes from the counts of partitions with bounded parts; listing
-    # the partitions of 300 would not finish
+def test_plethysm_route_reads_only_the_rows_of_nu(monkeypatch):
+    # no Schur polynomial and no partition list: a route for |lam| = 300
     def refuse(*args, **kwargs):
-        raise AssertionError("an estimate listed partitions")
+        raise AssertionError("the route choice built a polynomial or a list")
 
+    monkeypatch.setattr(coefficients, "schur_poly_of_partition", refuse)
     for module in (coefficients, partitions):
         monkeypatch.setattr(module, "partitions_of", refuse)
-    counts = coefficients._alphabet_counts(schur_poly_of_partition((2,), 3))
-    for lam in ((300,), (1,) * 300, (100, 100, 100)):
-        assert coefficients._class_sum_cost(lam, *counts) > 0
-        assert coefficients._jacobi_trudi_cost(lam, *counts) > 0
-        assert plethysm_route(lam, (2,), (200, 200, 200)) in ("class-sum", "jacobi-trudi")
+    assert plethysm_route((300,), (2,), (200, 200, 200)) == "jacobi-trudi"
+    assert plethysm_route((300,), (2,), (150,) * 4) == "power-sum"
 
 
 def test_plethysm_routes_name_the_power_sums_past_three_rows():
     assert plethysm_route((4,), (4, 4), (16, 8, 4, 4)) == "power-sum"
-    assert plethysm_route((2,), (2,), (2, 2)) == "class-sum"
-    assert plethysm_class_sum((2,) * 6, (2,), (8, 8, 8)) == 1
-    assert plethysm_class_sum((2,), (2,), (5,)) == 0  # weight mismatch
+    assert plethysm_route((2,), (2,), (2, 2)) == "jacobi-trudi"
+    assert plethysm_power_sum((2,) * 6, (2,), (8, 8, 8)) == 1
+    assert plethysm_power_sum((2,), (2,), (5,)) == 0  # weight mismatch

@@ -24,7 +24,6 @@ def test_kronecker_oracle_reads_no_characters(monkeypatch):
             (powersum, "char_row"),
             (powersum, "_row"),
             (coefficients, "_row"),
-            (coefficients, "_schur_at"),
             (coefficients, "kronecker_coefficient"),
         ],
     )
@@ -60,7 +59,6 @@ def test_plethysm_oracle_reads_no_characters(monkeypatch):
             (powersum, "char_row"),
             (powersum, "_row"),
             (coefficients, "_row"),
-            (coefficients, "_schur_at"),
             (coefficients, "plethysm_coefficient"),
         ],
     )
@@ -76,6 +74,30 @@ def test_plethysm_oracle_reads_no_characters(monkeypatch):
     ]
     for lam, mu, nu, c in pins:
         assert coefficients.plethysm_oracle(lam, mu, nu) == c, (lam, mu, nu)
+
+
+def test_plethysm_power_sum_computes_no_determinant(monkeypatch):
+    # the check of the engine's Jacobi-Trudi values expands no determinant
+    _break(
+        monkeypatch,
+        [
+            (coefficients, "_jacobi_trudi"),
+            (coefficients, "_jacobi_trudi_at"),
+            (coefficients, "_pleth_oracle_expansion"),
+            (coefficients, "plethysm_oracle"),
+        ],
+    )
+    pins = [
+        ((2,), (2,), (4,), 1),
+        ((2,), (2,), (2, 2), 1),
+        ((2,), (2,), (2, 1, 1), 0),
+        ((1, 1), (2,), (3, 1), 1),
+        ((3,), (2,), (4, 2), 1),
+        ((2,), (2, 1), (3, 2, 1), 1),
+        ((2,), (1, 1), (1, 1, 1, 1), 1),
+    ]
+    for lam, mu, nu, c in pins:
+        assert coefficients.plethysm_power_sum(lam, mu, nu) == c, (lam, mu, nu)
 
 
 def test_kostka_foulkes_oracle_takes_no_charge(monkeypatch):
