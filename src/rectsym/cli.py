@@ -19,13 +19,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from .coefficients import (
-    kronecker_oracle,
-    lr_coefficient_oracle,
-    plethysm_oracle,
-    plethysm_power_sum,
-    plethysm_route,
-)
+from .coefficients import kronecker_oracle, lr_coefficient_oracle, plethysm_oracle
 from .hall_littlewood import kostka_foulkes_oracle
 from .partitions import format_partition, parse_partition
 from .symmetries import (
@@ -100,14 +94,6 @@ def _compute_value(family, indices, method):
     return kostka_foulkes_oracle(*indices)
 
 
-def _pleth_routes(indices, method):
-    """(route, check route) of compute plethysm: the route that gives the
-    value by method (the oracle's is Jacobi-Trudi), and the other of
-    Jacobi-Trudi and the power sums, which --check plays against it."""
-    route = "jacobi-trudi" if method == "oracle" else plethysm_route(*indices)
-    return route, "power-sum" if route == "jacobi-trudi" else "jacobi-trudi"
-
-
 def cmd_compute(args):
     indices = _read_indices(args, f"compute {args.family}", FAMILY_KEY[args.family])
     value = _compute_value(args.family, indices, args.method)
@@ -121,27 +107,17 @@ def cmd_compute(args):
     }
     if len(indices) == 3:
         payload["nu"] = list(indices[2])
-    route = check_route = None
-    other_method = "oracle" if args.method == "main" else "main"
-    if args.family == "plethysm":
-        route, check_route = _pleth_routes(indices, args.method)
-        payload["route"] = route
     if args.check:
-        if check_route == "power-sum":
-            other = plethysm_power_sum(*indices)
-        else:
-            other = _compute_value(args.family, indices, other_method)
+        other_method = "oracle" if args.method == "main" else "main"
+        other = _compute_value(args.family, indices, other_method)
         payload["check_method"] = other_method
-        if check_route:
-            payload["check_route"] = check_route
         payload["check_value"] = other if isinstance(other, int) else str(other)
         payload["agrees"] = value == other
         if value != other:
             _emit(
                 payload,
                 args.json,
-                f"mismatch: {route or args.method} gives {value}, "
-                f"{check_route or other_method} gives {other}",
+                f"mismatch: {args.method} gives {value}, {other_method} gives {other}",
             )
             return EXIT_MISMATCH
     _emit(payload, args.json, str(value))
@@ -362,8 +338,7 @@ def build_parser():
     p.add_argument(
         "--check",
         action="store_true",
-        help="compare with the route not taken: the other method, or for a "
-        "plethysm the other of Jacobi-Trudi and the power sums",
+        help="compare with the other method",
     )
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_compute)

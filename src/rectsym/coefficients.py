@@ -11,28 +11,28 @@ can be played against each other:
   kron oracle  Garsia-Remmel sum: Jacobi-Trudi on s_lam in the h basis, each
                <h_alpha * s_mu, s_nu> a dynamic program over pairs of
                sub-partitions of (mu, nu) weighted by lattice-word LR counts
-  pleth      s_lam[s_mu] by one of two routes, chosen by length(nu) alone
-             (plethysm_route).  Up to POLY_MAX_ARITY rows of nu, the
-             Jacobi-Trudi determinant over the alphabet of s_mu in
-             length(nu) variables, on packed-integer monomials, read with
-             schur_coefficients.  Longer nu, the class sum in the power sum
-             basis paired with chi^nu over |lam|! |mu|!^|lam|.  Power sum
-             products cached per (mu, n), expansions of both routes per
-             (lam, mu, n)
-  pleth oracle  the Jacobi-Trudi determinant alone, over h or e evaluated
-               on the monomials of the inner Schur polynomial.  Up to
-               POLY_MAX_ARITY rows the engine takes the same determinant, so
-               the check of a determinant value is the power sum route at
-               any arity (plethysm_power_sum), which expands no determinant
+  pleth      s_lam[s_mu] by one of two routes, chosen by length(nu) alone.
+             Up to POLY_MAX_ARITY rows of nu, the Jacobi-Trudi determinant
+             over the alphabet of s_mu in length(nu) variables, on
+             packed-integer monomials, read with schur_coefficients.  Longer
+             nu, the class sum in the power sum basis paired with chi^nu
+             over |lam|! |mu|!^|lam|.  Power sum products cached per mu,
+             expansions of both routes per (lam, mu, n)
+  pleth oracle  the route the engine does not take at length(nu): up to
+               POLY_MAX_ARITY rows the power sums, with a fresh CharCache
+               and no shared memo; past them the Jacobi-Trudi determinant
+               over h or e evaluated on the monomials of the inner Schur
+               polynomial
 
-The two oracles and the engine's Jacobi-Trudi route expand their
+The Kronecker oracle and both Jacobi-Trudi routes of plethysm expand their
 determinant with the one routine _jacobi_trudi, on packed monomials, each
 with its own entries.
 
 Every polynomial route ends in the one reader, schur.schur_coefficients, or
 in its sort step, schur.sort_with_sign (the LR oracle one monomial of s_mu at
 a time); the Kronecker oracle evaluates no polynomial at all.  No oracle
-reads a character.
+runs a step of its engine's route: the plethysm oracle reads characters only
+where the engine expands a determinant.
 
 Kostka-Foulkes lives in hall_littlewood: charge, with the unitriangular
 solve of s_lam = sum K_(lam,rho)(t) P_rho in the Schur basis as its oracle.
@@ -46,6 +46,7 @@ from .partitions import (
     conjugate,
     contains,
     partitions_of,
+    to_count,
     to_partition,
     zero_pad,
 )
@@ -316,10 +317,12 @@ def kronecker_oracle_table(nu, l, m, cache=None):
 
     Each value is the Garsia-Remmel sum of _GarsiaRemmel, from LR counts
     with memos shared by the whole table; l and m only bound the rows, and
-    the table is empty when length(nu) > l*m.  No character is read, so
-    cache (kept for callers that share one with the engine) goes unused.
+    the table is empty when length(nu) > l*m.  l and m are counts
+    (to_count), else ValueError.  No character is read, so cache (kept for
+    callers that share one with the engine) goes unused.
     """
     nu = to_partition(nu)
+    l, m = to_count(l, "l"), to_count(m, "m")
     if len(nu) > l * m:
         return {}
     n = sum(nu)
@@ -336,10 +339,11 @@ def kronecker_oracle_table(nu, l, m, cache=None):
 def kronecker_oracle(lam, mu, nu, l, m, cache=None, table=None):
     """Kronecker coefficient by the Garsia-Remmel sum from LR counts, or
     read from a kronecker_oracle_table of nu when table is given.  l and m
-    only bound the rows of lam and mu (ArityTooSmall past them); cache is
-    accepted and unused.  Each index must be a partition (trailing zeros
-    allowed), else ValueError."""
+    only bound the rows of lam and mu (ArityTooSmall past them) and must be
+    counts (to_count); cache is accepted and unused.  Each index must be a
+    partition (trailing zeros allowed), else ValueError."""
     lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
+    l, m = to_count(l, "l"), to_count(m, "m")
     if not (sum(lam) == sum(mu) == sum(nu)):
         return 0
     if len(lam) > l:
@@ -357,7 +361,8 @@ def kronecker_oracle(lam, mu, nu, l, m, cache=None, table=None):
 
 # Up to this many rows of nu, plethysm_coefficient expands s_lam[s_mu] by the
 # Jacobi-Trudi determinant over the alphabet of s_mu in length(nu) variables;
-# longer nu take the power sum expansion _p_expansion, whatever lam is.
+# longer nu take the power sum expansion _p_expansion, whatever lam is;
+# plethysm_oracle takes the other route on each side.
 # Measured cold (2 vCPUs, Python 3.11.7): the rung (4)[(4,4)] at
 # (16,8,4,4) takes 37 ms by power sums and 41 ms by Jacobi-Trudi, and the
 # determinant at every arity made the benchmark's sweep reduce_s 17.8% and
@@ -373,16 +378,17 @@ def plethysm_coefficient(lam, mu, nu, cache=None, powers=None, maps=None):
     """Multiplicity of s_nu in s_lam[s_mu].  Each index must be a partition
     (trailing zeros allowed), else ValueError.
 
-    The route depends on length(nu) alone; plethysm_route names it.  Up to
-    POLY_MAX_ARITY rows of nu, the Jacobi-Trudi determinant over the
-    alphabet of s_mu in length(nu) variables, on packed monomials
-    (ValueError when |nu| >= 2^PACK_BITS), read with schur_coefficients.
-    Longer nu take the power sum expansion _p_expansion, paired with chi^nu
-    and divided exactly by |lam|! |mu|!^|lam| (NonIntegralResult on a
-    remainder).  cache is a CharCache.  powers and maps are dicts that may
-    be shared across calls: powers maps (mu, n) to the power sum products
-    keyed by rho, and maps (lam, mu, n) to the Schur coefficients up to
-    POLY_MAX_ARITY rows, or to the _p_expansion past them.
+    The route depends on length(nu) alone, and plethysm_oracle takes the
+    other one.  Up to POLY_MAX_ARITY rows of nu, the Jacobi-Trudi
+    determinant over the alphabet of s_mu in length(nu) variables, on
+    packed monomials (ValueError when |nu| >= 2^PACK_BITS), read with
+    schur_coefficients.  Longer nu take the power sum expansion
+    _p_expansion, paired with chi^nu and divided exactly by
+    |lam|! |mu|!^|lam| (NonIntegralResult on a remainder).  cache is a
+    CharCache.  powers and maps are dicts that may be shared across calls:
+    powers maps mu to the power sum products keyed by rho, and maps
+    (lam, mu, n) to the Schur coefficients up to POLY_MAX_ARITY rows, or to
+    the _p_expansion past them.
     """
     lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
     if sum(lam) * sum(mu) != sum(nu):
@@ -399,35 +405,13 @@ def plethysm_coefficient(lam, mu, nu, cache=None, powers=None, maps=None):
         if n <= POLY_MAX_ARITY:
             coeffs = _jacobi_trudi_at(lam, schur_poly_of_partition(mu, n))
         else:
-            products = {} if powers is None else powers.setdefault((mu, n), {})
+            products = {} if powers is None else powers.setdefault(mu, {})
             coeffs = _p_expansion(lam, mu, products, cache)
         if maps is not None:
             maps[key] = coeffs
     if n <= POLY_MAX_ARITY:
         return coeffs.get(nu, 0)
     return _paired_with_chi(coeffs, lam, mu, nu, cache)
-
-
-def plethysm_route(lam, mu, nu):
-    """The route plethysm_coefficient takes for these indices:
-    "jacobi-trudi" up to POLY_MAX_ARITY rows of nu, "power-sum" past them.
-    Each index must be a partition (trailing zeros allowed), else
-    ValueError."""
-    lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
-    return "jacobi-trudi" if len(nu) <= POLY_MAX_ARITY else "power-sum"
-
-
-def plethysm_power_sum(lam, mu, nu):
-    """Multiplicity of s_nu in s_lam[s_mu] by the power sum route at any
-    length(nu), whatever route plethysm_coefficient takes: the check of a
-    Jacobi-Trudi value, which reads characters and expands no determinant.
-    Each index must be a partition (trailing zeros allowed), else
-    ValueError."""
-    lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
-    if sum(lam) * sum(mu) != sum(nu):
-        return 0
-    cache = CharCache()
-    return _paired_with_chi(_p_expansion(lam, mu, {}, cache), lam, mu, nu, cache)
 
 
 def _weighted_classes(lam, cache):
@@ -581,14 +565,20 @@ def _pleth_oracle_expansion(lam, mu, n):
 
 
 def plethysm_oracle(lam, mu, nu):
-    """Multiplicity of s_nu in s_lam[s_mu] by polynomial evaluation at
-    arity length(nu); shares no character machinery with the main path.
-    Each index must be a partition (trailing zeros allowed), else
-    ValueError."""
+    """Multiplicity of s_nu in s_lam[s_mu] by the route plethysm_coefficient
+    does not take at length(nu).  Up to POLY_MAX_ARITY rows of nu, the power
+    sum expansion _p_expansion with a fresh CharCache, paired with chi^nu
+    (NonIntegralResult on a remainder); past them, the Jacobi-Trudi
+    determinant over the alphabet of s_mu in length(nu) variables, cached
+    per (lam, mu, length(nu)).  Each index must be a partition (trailing
+    zeros allowed), else ValueError."""
     lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
     if sum(lam) * sum(mu) != sum(nu):
         return 0
+    if len(nu) <= POLY_MAX_ARITY:
+        cache = CharCache()
+        return _paired_with_chi(_p_expansion(lam, mu, {}, cache), lam, mu, nu, cache)
     coeffs = _pleth_oracle_expansion(lam, mu, len(nu))
     if coeffs is None:
-        return 1 if not lam and not nu else 0
+        return 0  # s_mu vanishes in length(nu) variables and lam is not ()
     return coeffs.get(nu, 0)

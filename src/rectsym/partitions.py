@@ -192,11 +192,15 @@ def _gen_parts(w, max_length, max_part):
             parts.append(r)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def partitions_of(w, max_length=None, max_part=None):
-    """Tuple of all partitions of w (lex-descending), optionally bounded."""
-    ml = w if max_length is None else max_length
-    mp = w if max_part is None else max_part
+    """Tuple of all partitions of w (lex-descending), optionally bounded.
+    w and each bound given are counts (to_count): a float or a negative one
+    raises ValueError.  The memo is typed, so a float never reads the entry
+    of an equal int."""
+    w = to_count(w, "weight")
+    ml = w if max_length is None else to_count(max_length, "max_length")
+    mp = w if max_part is None else to_count(max_part, "max_part")
     return tuple(_gen_parts(w, ml, mp))
 
 

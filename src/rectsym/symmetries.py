@@ -368,8 +368,8 @@ class SweepContext:
     """Caches scoped to one sweep: the character rows of a CharCache (each
     shape's row built block by block, as far as the largest part bound any
     call asked of it), the plethysm engine's caches (powers: the power sum
-    route's products prod_i F(rho_i) per (mu, n), keyed by rho, filled only
-    past three rows of nu; maps: the expansion of s_lam[s_mu] per
+    route's products prod_i F(rho_i) per mu, keyed by rho, filled only past
+    three rows of nu; maps: the expansion of s_lam[s_mu] per
     (lam, mu, n), Schur coefficients from the Jacobi-Trudi determinant up
     to three rows or power sum coefficients past them), and four value
     memos, one per family.  kron is keyed by the sorted triple, lr and pleth

@@ -108,6 +108,12 @@ def test_compute_check_agrees_for_every_family(capsys, family, indices, method, 
     )
     assert code == EXIT_OK
     payload = json.loads(out)
+    # one key set for every family, nu where the family reads it
+    assert set(payload) - {"nu"} == {
+        "command", "family", "lambda", "mu", "method",
+        "value", "check_method", "check_value", "agrees",
+    }
+    assert ("nu" in payload) == (len(indices) == 3)
     assert payload["method"] == method
     assert payload["check_method"] == ("main" if method == "oracle" else "oracle")
     assert payload["value"] == payload["check_value"] == value
@@ -117,9 +123,9 @@ def test_compute_check_agrees_for_every_family(capsys, family, indices, method, 
 def test_compute_check_plays_a_jacobi_trudi_value_against_the_power_sums(
     capsys, monkeypatch
 ):
-    # s_(2^6)[s_2] at (8,8,8) is 1.  The engine takes the determinant, the
-    # oracle's own route, so the check must take the power sums: a second
-    # determinant (the engine's is the first) or the oracle raises.
+    # s_(2^6)[s_2] at (8,8,8) is 1.  The engine takes the determinant, so
+    # the check, the oracle, takes the power sums: a second determinant
+    # raises.
     determinants = []
     real_determinant = coefficients._jacobi_trudi_at
 
@@ -129,13 +135,9 @@ def test_compute_check_plays_a_jacobi_trudi_value_against_the_power_sums(
         determinants.append(args)
         return real_determinant(*args)
 
-    def no_oracle(*args):
-        raise AssertionError("the check ran the Jacobi-Trudi oracle")
-
     power_sums = []
     real_power_sum = coefficients._p_expansion
     monkeypatch.setattr(coefficients, "_jacobi_trudi_at", determinant_once)
-    monkeypatch.setattr(cli, "plethysm_oracle", no_oracle)
     monkeypatch.setattr(
         coefficients, "_p_expansion", lambda *args: power_sums.append(args) or real_power_sum(*args)
     )
@@ -148,44 +150,36 @@ def test_compute_check_plays_a_jacobi_trudi_value_against_the_power_sums(
     assert code == EXIT_OK
     payload = json.loads(out)
     assert payload["value"] == payload["check_value"] == 1
-    assert payload["route"] == "jacobi-trudi"
-    assert (payload["check_method"], payload["check_route"]) == ("oracle", "power-sum")
+    assert payload["check_method"] == "oracle"
     assert payload["agrees"] is True
     assert len(determinants) == 1 and len(power_sums) == 1
 
 
+@pytest.mark.parametrize("method", ["main", "oracle"])
 @pytest.mark.parametrize(
-    "method, route, check",
-    [
-        ("main", "jacobi-trudi", ("oracle", "power-sum")),
-        ("oracle", "jacobi-trudi", ("main", "power-sum")),
-    ],
+    "nu, value", [("2,2", 1), ("1,1,1,1", 0)], ids=["three-rows", "four-rows"]
 )
-def test_compute_check_names_both_plethysm_routes(capsys, method, route, check):
-    # (2)[(2)] at (2,2): the engine takes the determinant, the oracle's
-    # route, so under either method the check is the power sums
+def test_compute_check_plays_the_other_plethysm_route(capsys, monkeypatch, nu, value, method):
+    # (2)[(2)] at three and at four rows: whichever method gives the value,
+    # the check takes the other route, so one determinant and one power sum
+    # expansion run
+    runs = []
+    for name in ("_jacobi_trudi_at", "_p_expansion"):
+        real = getattr(coefficients, name)
+        monkeypatch.setattr(
+            coefficients, name, lambda *args, name=name, real=real: runs.append(name) or real(*args)
+        )
+    coefficients._pleth_oracle_expansion.cache_clear()
     code, out, _ = run(
         capsys,
-        "compute", "plethysm", "--lambda", "2", "--mu", "2", "--nu", "2,2",
+        "compute", "plethysm", "--lambda", "2", "--mu", "2", "--nu", nu,
         "--method", method, "--check", "--json",
     )
     assert code == EXIT_OK
     payload = json.loads(out)
-    assert payload["route"] == route
-    assert (payload["check_method"], payload["check_route"]) == check
-    assert payload["value"] == payload["check_value"] == 1
-
-
-def test_compute_check_names_the_power_sum_route(capsys):
-    code, out, _ = run(
-        capsys,
-        "compute", "plethysm", "--lambda", "2", "--mu", "2", "--nu", "1,1,1,1",
-        "--check", "--json",
-    )
-    assert code == EXIT_OK
-    payload = json.loads(out)
-    assert (payload["route"], payload["check_route"]) == ("power-sum", "jacobi-trudi")
-    assert payload["value"] == payload["check_value"] == 0
+    assert payload["check_method"] == ("main" if method == "oracle" else "oracle")
+    assert payload["value"] == payload["check_value"] == value
+    assert sorted(runs) == ["_jacobi_trudi_at", "_p_expansion"]
 
 
 @pytest.fixture

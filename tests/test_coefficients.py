@@ -19,13 +19,10 @@ from rectsym.coefficients import (
     lr_coefficient_oracle,
     plethysm_coefficient,
     plethysm_oracle,
-    plethysm_power_sum,
-    plethysm_route,
 )
 from rectsym.partitions import conjugate, contains, partitions_of
 from rectsym.polyring import LaurentPoly
 from rectsym.powersum import CharCache, NonIntegralResult, _ascending, _mask, char_row
-from rectsym.schur import schur_poly_of_partition
 from rectsym.symmetries import SweepBounds, SweepContext, verify_rule
 
 
@@ -358,8 +355,8 @@ def test_plethysm_against_evaluation_oracle():
 
 def test_plethysm_shared_caches_across_outer_weights():
     # one powers/maps pair serves calls whose lam grow in weight at the same
-    # (mu, n): the power sum products cached by the first, lightest call at
-    # four rows must stay exact for the heavier ones; up to three rows the
+    # mu: the power sum products cached by the first, lightest call past
+    # three rows must stay exact for the heavier ones; up to three rows the
     # determinant fills maps and no products
     cache, powers, maps = CharCache(), {}, {}
     for n in (1, 2, 3, 4):
@@ -377,9 +374,11 @@ def test_plethysm_shared_caches_across_outer_weights():
                         assert shared == plethysm_coefficient(lam, mu, nu), (lam, mu, nu)
                         assert shared == plethysm_oracle(lam, mu, nu), (lam, mu, nu)
                         assert (lam, mu, n) in maps, (lam, mu, nu)
-                        assert ((mu, n) in powers) == (n > POLY_MAX_ARITY), (lam, mu, nu)
-            if (mu, n) in powers:
-                assert len({sum(rho) for rho in powers[(mu, n)]}) > 2, (mu, n)
+                        assert (mu in powers) == (n > POLY_MAX_ARITY), (lam, mu, nu)
+    # the products of each mu are read at every arity past three rows
+    assert set(powers) == {(1,), (2,), (1, 1), (2, 1)}
+    for mu, products in powers.items():
+        assert len({sum(rho) for rho in products}) > 2, mu
 
 
 @pytest.mark.parametrize(
@@ -430,7 +429,7 @@ PLETHYSM_RULES = (
 
 @pytest.fixture(scope="module")
 def power_sums():
-    """<s_lam[s_mu], s_nu> by the power sum route of plethysm_power_sum,
+    """<s_lam[s_mu], s_nu> by the power sum route of plethysm_oracle,
     with one CharCache and one product memo per mu shared by every call of
     the module, and each expansion kept per (lam, mu)."""
     cache, products, expansions = CharCache(), {}, {}
@@ -444,25 +443,6 @@ def power_sums():
         return coefficients._paired_with_chi(coeffs, lam, mu, nu, cache)
 
     return value
-
-
-def test_plethysm_routes_agree_in_criterion_2_range(power_sums):
-    # criterion 2 plays the determinant against itself up to three rows;
-    # here the power sums check it on the whole of its range that the
-    # determinant takes, |lam| |mu| <= 8 and length(mu) <= length(nu) <= 3
-    checked = 0
-    for a in range(1, 9):
-        for b in range(1, 8 // a + 1):
-            for lam in partitions_of(a):
-                for mu in partitions_of(b):
-                    for nu in partitions_of(a * b, POLY_MAX_ARITY):
-                        if len(nu) < len(mu):
-                            continue
-                        g = schur_poly_of_partition(mu, len(nu))
-                        by_determinant = coefficients._jacobi_trudi_at(lam, g).get(nu, 0)
-                        assert power_sums(lam, mu, nu) == by_determinant, (lam, mu, nu)
-                        checked += 1
-    assert checked == 919
 
 
 def test_plethysm_routes_agree_on_the_sweeps_jacobi_trudi_expansions(power_sums):
@@ -481,22 +461,3 @@ def test_plethysm_routes_agree_on_the_sweeps_jacobi_trudi_expansions(power_sums)
             assert power_sums(lam, mu, nu) == expansion.get(nu, 0), (lam, mu, nu)
             checked += 1
     assert (len(routed), checked) == (658, 8423)
-
-
-def test_plethysm_route_reads_only_the_rows_of_nu(monkeypatch):
-    # no Schur polynomial and no partition list: a route for |lam| = 300
-    def refuse(*args, **kwargs):
-        raise AssertionError("the route choice built a polynomial or a list")
-
-    monkeypatch.setattr(coefficients, "schur_poly_of_partition", refuse)
-    for module in (coefficients, partitions):
-        monkeypatch.setattr(module, "partitions_of", refuse)
-    assert plethysm_route((300,), (2,), (200, 200, 200)) == "jacobi-trudi"
-    assert plethysm_route((300,), (2,), (150,) * 4) == "power-sum"
-
-
-def test_plethysm_routes_name_the_power_sums_past_three_rows():
-    assert plethysm_route((4,), (4, 4), (16, 8, 4, 4)) == "power-sum"
-    assert plethysm_route((2,), (2,), (2, 2)) == "jacobi-trudi"
-    assert plethysm_power_sum((2,) * 6, (2,), (8, 8, 8)) == 1
-    assert plethysm_power_sum((2,), (2,), (5,)) == 0  # weight mismatch

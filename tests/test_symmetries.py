@@ -9,6 +9,7 @@ from rectsym import symmetries
 from rectsym.coefficients import (
     kronecker_coefficient,
     kronecker_oracle,
+    kronecker_oracle_table,
     lr_coefficient,
     lr_coefficient_oracle,
     plethysm_coefficient,
@@ -739,6 +740,13 @@ def _integer_reading_calls():
         ("schur_poly_of_partition-variables", lambda x: schur_poly_of_partition((1,), x)),
         ("iter_ssyt-entries", lambda x: list(iter_ssyt((2, 1), x))),
         ("class_sizes", class_sizes),
+        ("partitions_of-weight", partitions_of),
+        ("partitions_of-max_length", lambda x: partitions_of(3, x)),
+        ("partitions_of-max_part", lambda x: partitions_of(3, 2, x)),
+        ("kronecker_oracle-l", lambda x: kronecker_oracle((1,), (1,), (1,), x, 1)),
+        ("kronecker_oracle-m", lambda x: kronecker_oracle((1,), (1,), (1,), 1, x)),
+        ("kronecker_oracle_table-l", lambda x: kronecker_oracle_table((2,), x, 1)),
+        ("kronecker_oracle_table-m", lambda x: kronecker_oracle_table((2,), 1, x)),
         (
             "bench_reduction-repeats",
             lambda x: bench_reduction("kronecker", ((2, 1), (2, 1), (2, 1)), repeats=x),
@@ -767,6 +775,13 @@ def _count_reading_calls():
         ("schur_poly_of_partition", lambda x: schur_poly_of_partition((1,), x), "variables"),
         ("schur_poly_of_partition-empty", lambda x: schur_poly_of_partition((), x), "variables"),
         ("class_sizes", class_sizes, "weight"),
+        ("partitions_of-weight", partitions_of, "weight"),
+        ("partitions_of-max_length", lambda x: partitions_of(3, x), "max_length"),
+        ("partitions_of-max_part", lambda x: partitions_of(3, 2, x), "max_part"),
+        ("kronecker_oracle-l", lambda x: kronecker_oracle((1,), (1,), (1,), x, 1), "l must"),
+        ("kronecker_oracle-m", lambda x: kronecker_oracle((1,), (1,), (1,), 1, x), "m must"),
+        ("kronecker_oracle_table-l", lambda x: kronecker_oracle_table((2,), x, 1), "l must"),
+        ("kronecker_oracle_table-m", lambda x: kronecker_oracle_table((2,), 1, x), "m must"),
         ("tableau_ratio", lambda x: tableau_ratio((2,), x), "n must"),
         ("SweepBounds", lambda x: SweepBounds(max_k=x), "max_k"),
         ("verify_rule-jobs", lambda x: verify_rule("kf-box", SMALL, jobs=x), "jobs"),
