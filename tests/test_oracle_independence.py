@@ -52,37 +52,43 @@ def test_lr_oracle_counts_no_lattice_words(monkeypatch):
         assert coefficients.lr_coefficient_oracle(lam, mu, nu) == c, (lam, mu, nu)
 
 
-def test_plethysm_oracle_runs_no_step_of_the_engines_route(monkeypatch):
-    # up to three rows of nu the engine expands the Jacobi-Trudi
-    # determinant, so the oracle may expand none; past three rows the engine
-    # pairs power sums with characters, so the oracle may read none
-    pins = [
-        ((2,), (2,), (4,), 1),
-        ((2,), (2,), (2, 2), 1),
-        ((2,), (2,), (2, 1, 1), 0),
-        ((1, 1), (2,), (3, 1), 1),
-        ((3,), (2,), (4, 2), 1),
-        ((2,), (2, 1), (3, 2, 1), 1),
-        ((2,) * 6, (2,), (8, 8, 8), 1),
-        ((2,), (1, 1), (1, 1, 1, 1), 1),
-        ((2,), (2,), (1, 1, 1, 1), 0),
-        ((1, 1), (1, 1), (2, 1, 1), 1),
-        ((2,), (2, 1), (3, 1, 1, 1), 1),
-        ((3,), (1, 1), (2, 2, 1, 1), 1),
-    ]
-    with monkeypatch.context() as patch:
-        _break(
-            patch,
-            [
-                (coefficients, "_jacobi_trudi"),
-                (coefficients, "_jacobi_trudi_at"),
-                (coefficients, "_pleth_oracle_expansion"),
-                (coefficients, "plethysm_coefficient"),
-            ],
-        )
-        for lam, mu, nu, c in pins:
-            if len(nu) <= 3:
-                assert coefficients.plethysm_oracle(lam, mu, nu) == c, (lam, mu, nu)
+# up to three rows of nu the engine expands the Jacobi-Trudi determinant,
+# so the oracle may expand none; past three rows the engine pairs power sums
+# with characters, so the oracle may read none
+PLETHYSM_PINS = [
+    ((2,), (2,), (4,), 1),
+    ((2,), (2,), (2, 2), 1),
+    ((2,), (2,), (2, 1, 1), 0),
+    ((1, 1), (2,), (3, 1), 1),
+    ((3,), (2,), (4, 2), 1),
+    ((2,), (2, 1), (3, 2, 1), 1),
+    ((2,) * 6, (2,), (8, 8, 8), 1),
+    ((2,), (1, 1), (1, 1, 1, 1), 1),
+    ((2,), (2,), (1, 1, 1, 1), 0),
+    ((1, 1), (1, 1), (2, 1, 1), 1),
+    ((2,), (2, 1), (3, 1, 1, 1), 1),
+    ((3,), (1, 1), (2, 2, 1, 1), 1),
+]
+
+
+def test_plethysm_power_sum_computes_no_determinant(monkeypatch):
+    # up to three rows the oracle takes the power sums
+    _break(
+        monkeypatch,
+        [
+            (coefficients, "_jacobi_trudi"),
+            (coefficients, "_jacobi_trudi_at"),
+            (coefficients, "_pleth_oracle_expansion"),
+            (coefficients, "plethysm_coefficient"),
+        ],
+    )
+    for lam, mu, nu, c in PLETHYSM_PINS:
+        if len(nu) <= 3:
+            assert coefficients.plethysm_oracle(lam, mu, nu) == c, (lam, mu, nu)
+
+
+def test_plethysm_oracle_reads_no_characters(monkeypatch):
+    # past three rows the oracle expands the determinant
     _break(
         monkeypatch,
         [
@@ -93,7 +99,7 @@ def test_plethysm_oracle_runs_no_step_of_the_engines_route(monkeypatch):
         ],
     )
     coefficients._pleth_oracle_expansion.cache_clear()
-    for lam, mu, nu, c in pins:
+    for lam, mu, nu, c in PLETHYSM_PINS:
         if len(nu) > 3:
             assert coefficients.plethysm_oracle(lam, mu, nu) == c, (lam, mu, nu)
 
