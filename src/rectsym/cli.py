@@ -8,6 +8,9 @@ Four working subcommands plus a rule applicator:
   bench     naive versus reduce-then-compute wall time
   apply     a single symmetry rule applied to explicit indices
 
+Every fact about a family (its name, arity, engine, oracle and planner) is
+read from symmetries.FAMILIES; no subcommand branches on the family.
+
 Partitions are comma-separated part lists; the empty partition is written 0.
 Exit codes: 0 success, 1 a verification sweep found a counterexample,
 2 malformed input, 3 internal disagreement (a compute --check or reduction
@@ -19,15 +22,12 @@ import json
 import sys
 from dataclasses import asdict
 
-from .coefficients import kronecker_oracle, lr_coefficient_oracle, plethysm_oracle
-from .hall_littlewood import kostka_foulkes_oracle
 from .partitions import format_partition, parse_partition
 from .symmetries import (
-    ARITY,
     BOX_PARAMS,
+    FAMILIES,
     FAMILY_KEY,
     FAMILY_OF,
-    PLANNERS,
     RULE_NAMES,
     SweepBounds,
     SweepContext,
@@ -65,10 +65,10 @@ def _parse_box_list(text):
 
 
 def _read_indices(args, name, family):
-    """The index tuple from --lambda, --mu and --nu, as many as ARITY gives
-    family (a coefficient_of key); name heads the ValueError."""
+    """The index tuple from --lambda, --mu and --nu, as many as the arity of
+    family (a FAMILIES key); name heads the ValueError."""
     indices = (parse_partition(args.lam), parse_partition(args.mu))
-    if ARITY[family] == 2:
+    if FAMILIES[family].arity == 2:
         if args.nu is not None:
             raise ValueError(f"{name} takes --lambda and --mu only")
         return indices
@@ -83,20 +83,14 @@ def _read_indices(args, name, family):
 
 def _compute_value(family, indices, method):
     if method == "main":
-        return coefficient_of(FAMILY_KEY[family], indices)
-    if family == "lr":
-        return lr_coefficient_oracle(*indices)
-    if family == "kronecker":
-        lam, mu, _ = indices
-        return kronecker_oracle(*indices, max(1, len(lam)), max(1, len(mu)))
-    if family == "plethysm":
-        return plethysm_oracle(*indices)
-    return kostka_foulkes_oracle(*indices)
+        return coefficient_of(family, indices)
+    return FAMILIES[family].oracle(indices)
 
 
 def cmd_compute(args):
-    indices = _read_indices(args, f"compute {args.family}", FAMILY_KEY[args.family])
-    value = _compute_value(args.family, indices, args.method)
+    family = FAMILY_KEY[args.family]
+    indices = _read_indices(args, f"compute {args.family}", family)
+    value = _compute_value(family, indices, args.method)
     payload = {
         "command": "compute",
         "family": args.family,
@@ -109,7 +103,7 @@ def cmd_compute(args):
         payload["nu"] = list(indices[2])
     if args.check:
         other_method = "oracle" if args.method == "main" else "main"
-        other = _compute_value(args.family, indices, other_method)
+        other = _compute_value(family, indices, other_method)
         payload["check_method"] = other_method
         payload["check_value"] = other if isinstance(other, int) else str(other)
         payload["agrees"] = value == other
@@ -330,6 +324,7 @@ def build_parser():
         "and weight reduction.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    planned = tuple(spec.name for spec in FAMILIES.values() if spec.planner)
 
     p = sub.add_parser("compute", help="one coefficient")
     p.add_argument("family", choices=tuple(FAMILY_KEY))
@@ -364,7 +359,7 @@ def build_parser():
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("reduce", help="weight-reduction plan")
-    p.add_argument("family", choices=tuple(PLANNERS))
+    p.add_argument("family", choices=planned)
     _add_partition_flags(p)
     p.add_argument(
         "--execute", action="store_true", help="compute both ends, assert equality"
@@ -373,7 +368,7 @@ def build_parser():
     p.set_defaults(fn=cmd_reduce)
 
     p = sub.add_parser("bench", help="naive vs reduce-then-compute timing")
-    p.add_argument("family", choices=tuple(PLANNERS))
+    p.add_argument("family", choices=planned)
     _add_partition_flags(p)
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--json", action="store_true")

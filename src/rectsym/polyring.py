@@ -159,7 +159,6 @@ class TPoly:
     __repr__ = __str__
 
 
-T = TPoly.t()
 T_ONE = TPoly.const(1)
 
 

@@ -21,8 +21,8 @@ n - jk with parts < k, so no partition is ever listed (_ascending_sizes).
 
 A CharCache holds each shape's row by bead mask (strip) and indexes whole
 rows by partition (rows), with no copies.  _row is every engine's reader;
-char_row, char_value and class_sizes adapt it to partitions_of order.  A
-CharCache may serve a whole verification sweep, or one call.
+char_row and class_sizes adapt it to partitions_of order.  A CharCache may
+serve a whole verification sweep, or one call.
 """
 
 from bisect import bisect_left
@@ -192,21 +192,6 @@ def _row(lam, cache):
         n = sum(lam)
         row = cache.rows[lam] = _ascending(_mask(lam), n, n, cache.strip)
     return row
-
-
-def char_value(lam, rho, cache=None):
-    """Character of the symmetric group: chi^lam evaluated on cycle type rho,
-    read off the row of lam at _position(rho).  lam must be a partition
-    (trailing zeros allowed) and rho must have positive integer parts, else
-    ValueError."""
-    lam = to_partition(lam)
-    rho = tuple(sorted(rho, reverse=True))
-    if rho and rho[-1] <= 0:
-        raise ValueError(f"cycle type with a non-positive part: {rho}")
-    rho = to_partition(rho)
-    if sum(lam) != sum(rho):
-        raise WeightMismatch(f"|{lam}| != |{rho}|")
-    return _row(lam, CharCache() if cache is None else cache)[_position(rho)]
 
 
 def char_row(lam, cache=None):

@@ -28,11 +28,11 @@ Rule names and what they transform:
   kf-box(k, n)                 K(lam, mu): both complemented in k x n
   kf-translate(n, k)           both translated by (k^n)
 
-Weight reduction has one planning tail, _plan.  A family plans by listing its
-conjugation-plus-complement candidates, scored from first parts and lengths,
-and registering its planner in PLANNERS; the tail picks the lightest, builds
-the chain and the report, and conjugates the winner's triple and applies the
-complement to it.
+Every family is declared once, in FAMILIES.  Weight reduction has one
+planning tail, _plan.  A family plans by listing its conjugation-plus-
+complement candidates, scored from first parts and lengths, and naming its
+planner in FAMILIES; the tail picks the lightest, builds the chain and the
+report, and conjugates the winner's triple and applies the complement to it.
 """
 
 import os
@@ -42,8 +42,15 @@ from functools import lru_cache
 from itertools import product
 from math import inf
 
-from .coefficients import kronecker_coefficient, lr_coefficient, plethysm_coefficient
-from .hall_littlewood import kostka_foulkes
+from .coefficients import (
+    kronecker_coefficient,
+    kronecker_oracle,
+    lr_coefficient,
+    lr_coefficient_oracle,
+    plethysm_coefficient,
+    plethysm_oracle,
+)
+from .hall_littlewood import kostka_foulkes, kostka_foulkes_oracle
 from .partitions import (
     box_complements,
     conjugate,
@@ -54,13 +61,6 @@ from .partitions import (
     translated_partition,
 )
 from .powersum import CharCache, WeightMismatch
-
-# The coefficient_of key of each family name the command line and the
-# reduction reports use.
-FAMILY_KEY = {"lr": "lr", "kronecker": "kron", "plethysm": "pleth", "kostka-foulkes": "kf"}
-
-# How many partitions index each family's coefficients.
-ARITY = {"lr": 3, "kron": 3, "pleth": 3, "kf": 2}
 
 
 class PreconditionViolated(ValueError):
@@ -105,11 +105,11 @@ def _family_of(rule):
 def _partitions(name, family, indices):
     """indices as partitions, after checking that there are as many as the
     family (a coefficient_of key) takes; name heads the ValueError."""
-    want = ARITY.get(family)
-    if want is None:
+    spec = FAMILIES.get(family)
+    if spec is None:
         raise ValueError(f"unknown family {family!r}")
-    if len(indices) != want:
-        raise ValueError(f"{name} acts on {want} partitions, got {len(indices)}")
+    if len(indices) != spec.arity:
+        raise ValueError(f"{name} acts on {spec.arity} partitions, got {len(indices)}")
     return tuple(to_partition(p) for p in indices)
 
 
@@ -231,15 +231,12 @@ class Rule:
     """One rule, declared once; every hypothesis is a lower bound on a
     parameter.  params: the parameter names in --box order.  floors(*indices):
     each box dimension's and row count's floor by name, in sweep nesting
-    order.  shift(*indices, **floored): a translation rule's floor of k.
-    image_weight(*indices, **params): for the plethysm rules, the image
-    coefficient's weight, which SweepBounds.max_image_weight caps."""
+    order.  shift(*indices, **floored): a translation rule's floor of k."""
 
     params: tuple
     image: object
     floors: object
     shift: object = None
-    image_weight: object = None
 
 
 RULES = {
@@ -262,22 +259,18 @@ RULES = {
     "pleth-box-inner": Rule(
         ("m", "n"), _pleth_box_inner,
         lambda lam, mu, nu: {"n": max(len(mu), len(nu)), "m": _first(mu)},
-        image_weight=lambda lam, mu, nu, m, n: sum(lam) * (m * n - sum(mu)),
     ),
     "pleth-translate-inner": Rule(
         ("n", "k"), _pleth_translate_inner, lambda lam, mu, nu: {"n": len(nu)},
         shift=lambda lam, mu, nu, n: _shift_floor(mu, n),
-        image_weight=lambda lam, mu, nu, n, k: sum(nu) + k * sum(lam) * n,
     ),
     "pleth-box-outer": Rule(
         ("l", "n"), _pleth_box_outer,
         lambda lam, mu, nu: {"n": max(1, len(nu)), "l": _first(lam)},
-        image_weight=lambda lam, mu, nu, l, n: (l * _tableau_count(mu, n)[0] - sum(lam)) * sum(mu),
     ),
     "pleth-translate-outer": Rule(
         ("n", "k"), _pleth_translate_outer, lambda lam, mu, nu: {"n": max(1, len(nu))},
         shift=lambda lam, mu, nu, n: _shift_floor(lam, _tableau_count(mu, n)[0]),
-        image_weight=lambda lam, mu, nu, n, k: (sum(lam) + k * _tableau_count(mu, n)[0]) * sum(mu),
     ),
     "kf-box": Rule(("k", "n"), _kf_box, lambda lam, mu: {"n": len(mu), "k": _first(lam)}),
     "kf-translate": Rule(
@@ -348,10 +341,11 @@ class SweepBounds:
 
     max_weight bounds the weight of the original coefficient, max_box every
     box dimension (and variable count n), max_k the absolute translation
-    amount.  max_image_weight caps the weight of the image coefficient, and
-    is consulted only by the plethysm rules, whose images otherwise grow far
-    beyond what exact verification can afford; capped-out instances are
-    counted as skipped.  Each field must be a nonnegative int, else ValueError.
+    amount.  max_image_weight caps the weight |nu| of a plethysm rule's image,
+    read off the image itself, since those images otherwise grow far beyond
+    what exact verification can afford; a transformed instance whose image
+    weighs more is counted as skipped, and a vanishing one is always checked.
+    Each field must be a nonnegative int, else ValueError.
     """
 
     max_weight: int = 6
@@ -392,15 +386,6 @@ class SweepContext:
         self.kf = {}
 
 
-# Each family's engine, looked up by name at call time, with ctx's caches.
-_ENGINES = {
-    "lr": lambda indices, ctx: lr_coefficient(*indices),
-    "kron": lambda indices, ctx: kronecker_coefficient(*indices, ctx.chars),
-    "pleth": lambda indices, ctx: plethysm_coefficient(*indices, ctx.chars, ctx.powers, ctx.maps),
-    "kf": lambda indices, ctx: kostka_foulkes(*indices),
-}
-
-
 def _value(family, indices, ctx):
     """Coefficient value of indices that are already partitions, through
     ctx's memo of the family; a miss calls the family's engine.  The
@@ -409,14 +394,14 @@ def _value(family, indices, ctx):
     key = tuple(sorted(indices)) if family == "kron" else indices
     value = memo.get(key)
     if value is None:
-        value = memo[key] = _ENGINES[family](indices, ctx)
+        value = memo[key] = FAMILIES[family].engine(indices, ctx)
     return value
 
 
 def coefficient_of(family, indices, ctx=None):
     """Coefficient value for one family ("lr", "kron", "pleth" or "kf"); the
     entry point the command line uses.  The family, the number of indices
-    (ARITY) and every index being a partition (trailing zeros allowed) are
+    (its arity) and every index being a partition (trailing zeros allowed) are
     checked, else ValueError, before ctx is read or written; a call without
     ctx gets a private one."""
     indices = _partitions(family, family, indices)
@@ -497,15 +482,6 @@ def _same_weight_pairs(max_weight):
                 yield lam, mu
 
 
-# The index tuples each family's sweep walks, up to a weight bound.
-_INDEX_TUPLES = {
-    "lr": _split_triples,
-    "kron": _same_weight_triples,
-    "pleth": _pleth_triples,
-    "kf": _same_weight_pairs,
-}
-
-
 def _instances(rule, bounds):
     """Yield (indices, params) for every instance of the rule inside the
     bounds: each floored parameter from its floor to max_box, nested in
@@ -513,7 +489,7 @@ def _instances(rule, bounds):
     meets the rule's hypotheses."""
     spec = RULES[rule]
     top, kk = bounds.max_box, bounds.max_k
-    for indices in _INDEX_TUPLES[FAMILY_OF[rule]](bounds.max_weight):
+    for indices in FAMILIES[FAMILY_OF[rule]].index_tuples(bounds.max_weight):
         floors = spec.floors(*indices)
         names = tuple(floors)
         for values in product(*(range(floor, top + 1) for floor in floors.values())):
@@ -529,11 +505,11 @@ def _json_value(value):
     return value if isinstance(value, int) else str(value)
 
 
-def _check_one(rule, family, indices, params, report, ctx):
-    """Check one instance into report; False when it is a counterexample.
-    _instances builds indices from partitions_of and params from their
-    floors, so neither is validated again here."""
-    image = _apply(rule, indices, params)
+def _check_one(rule, family, indices, params, image, report, ctx):
+    """Check one instance, whose image under the rule is image, into report;
+    False when it is a counterexample.  _instances builds indices from
+    partitions_of and params from their floors, so neither is validated
+    again here."""
     left = _value(family, indices, ctx)
     if image is None:
         report.vanished += 1
@@ -564,16 +540,16 @@ def _sweep_stride(rule, bounds, start, step, ctx=None):
     if ctx is None:
         ctx = SweepContext()
     family = FAMILY_OF[rule]
-    image_weight = RULES[rule].image_weight
     report = RuleReport(rule)
     found = []
     for i, (indices, params) in enumerate(_instances(rule, bounds)):
         if i % step != start:
             continue
-        if image_weight and image_weight(*indices, **params) > bounds.max_image_weight:
+        image = _apply(rule, indices, params)
+        if family == "pleth" and image is not None and sum(image[2]) > bounds.max_image_weight:
             report.skipped += 1
             continue
-        if not _check_one(rule, family, indices, params, report, ctx):
+        if not _check_one(rule, family, indices, params, image, report, ctx):
             found.append(i)
     return report, found
 
@@ -779,18 +755,61 @@ def reduce_plethysm(lam, mu, nu):
     return _plan("plethysm", original, weight, candidates, options, "pleth-box-inner")
 
 
-# The families with a planner, by the name the command line and the
-# reduction reports use.
-PLANNERS = {"kronecker": reduce_kronecker, "plethysm": reduce_plethysm}
+# ---------------------------------------------------------------------------
+# the families
+
+
+@dataclass(frozen=True)
+class Family:
+    """One coefficient family.  name: as the command line and the reduction
+    reports spell it.  arity: how many partitions index a coefficient.
+    engine(indices, ctx), with ctx's caches, and oracle(indices): the two
+    routes, each looking its function up by name at call time.
+    index_tuples(max_weight): what its sweeps walk.  planner(*indices): its
+    weight-reduction planner, or None."""
+
+    name: str
+    arity: int
+    engine: object
+    oracle: object
+    index_tuples: object
+    planner: object = None
+
+
+FAMILIES = {
+    "lr": Family(
+        "lr", 3, lambda indices, ctx: lr_coefficient(*indices),
+        lambda indices: lr_coefficient_oracle(*indices), _split_triples,
+    ),
+    "kron": Family(
+        "kronecker", 3, lambda indices, ctx: kronecker_coefficient(*indices, ctx.chars),
+        lambda indices: kronecker_oracle(
+            *indices, max(1, len(indices[0])), max(1, len(indices[1]))
+        ),
+        _same_weight_triples, reduce_kronecker,
+    ),
+    "pleth": Family(
+        "plethysm", 3,
+        lambda indices, ctx: plethysm_coefficient(*indices, ctx.chars, ctx.powers, ctx.maps),
+        lambda indices: plethysm_oracle(*indices), _pleth_triples, reduce_plethysm,
+    ),
+    "kf": Family(
+        "kostka-foulkes", 2, lambda indices, ctx: kostka_foulkes(*indices),
+        lambda indices: kostka_foulkes_oracle(*indices), _same_weight_pairs,
+    ),
+}
+
+FAMILY_KEY = {spec.name: key for key, spec in FAMILIES.items()}
 
 
 def reduce_indices(family, indices):
-    """The reduction report of a planned family's index tuple; the number of
-    indices and every index being a partition are checked as in
-    coefficient_of."""
-    if family not in PLANNERS:
+    """The reduction report of a planned family's index tuple, the family by
+    its name; the number of indices and every index being a partition are
+    checked as in coefficient_of."""
+    key = FAMILY_KEY.get(family)
+    if key is None or FAMILIES[key].planner is None:
         raise ValueError(f"no reduction planner for family {family!r}")
-    return PLANNERS[family](*_partitions(family, FAMILY_KEY[family], indices))
+    return FAMILIES[key].planner(*_partitions(family, key, indices))
 
 
 # A report's ends come out of a planner, which made them partitions; they

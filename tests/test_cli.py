@@ -182,34 +182,72 @@ def test_compute_check_plays_the_other_plethysm_route(capsys, monkeypatch, nu, v
     assert sorted(runs) == ["_jacobi_trudi_at", "_p_expansion"]
 
 
+def _skew(monkeypatch, engine):
+    """Patch a family's engine, symmetries.<engine>, by name to add the
+    weight of its first index: it then disagrees with the oracle and with
+    every rule or reduction that changes the weight."""
+    real = getattr(symmetries, engine)
+    monkeypatch.setattr(symmetries, engine, lambda *args: real(*args) + sum(args[0]))
+
+
 @pytest.fixture
 def weight_skewed_kronecker(monkeypatch):
-    """The Kronecker engine, off by the weight of its instance: it disagrees
-    with the oracle and with every rule or reduction that changes the weight."""
-    real = symmetries._ENGINES["kron"]
-    monkeypatch.setitem(
-        symmetries._ENGINES, "kron", lambda indices, ctx: real(indices, ctx) + sum(indices[0])
-    )
+    """The Kronecker engine, off by the weight of its instance."""
+    _skew(monkeypatch, "kronecker_coefficient")
 
 
 _REDUCIBLE = ["--lambda", "2,2,2", "--mu", "2,2,2", "--nu", "6"]
 
 
 @pytest.mark.parametrize(
-    "argv, said",
+    "engine, argv, said",
     [
+        # g((2,2,2), (2,2,2), (6)) = 1, which the oracle and the reduced
+        # instance (weight 0) both give; the skewed engine gives 1 + 6
         (
+            "kronecker_coefficient",
             ["compute", "kronecker", *_REDUCIBLE, "--check"],
             "mismatch: main gives 7, oracle gives 1\n",
         ),
-        (["reduce", "kronecker", *_REDUCIBLE, "--execute"], "reduced value: 1\nMISMATCH\n"),
-        (["bench", "kronecker", *_REDUCIBLE, "--repeats", "1"], "value: 7 != 1\n"),
+        (
+            "lr_coefficient",
+            ["compute", "lr", "--lambda", "1", "--mu", "1", "--nu", "2", "--check"],
+            "mismatch: main gives 2, oracle gives 1\n",
+        ),
+        (
+            "plethysm_coefficient",
+            ["compute", "plethysm", "--lambda", "2", "--mu", "2", "--nu", "2,2", "--check"],
+            "mismatch: main gives 3, oracle gives 1\n",
+        ),
+        (
+            "kostka_foulkes",
+            ["compute", "kostka-foulkes", "--lambda", "2,1", "--mu", "1,1,1", "--check"],
+            "mismatch: main gives 3 + t + t^2, oracle gives t + t^2\n",
+        ),
+        (
+            "kronecker_coefficient",
+            ["reduce", "kronecker", *_REDUCIBLE, "--execute"],
+            "reduced value: 1\nMISMATCH\n",
+        ),
+        (
+            "kronecker_coefficient",
+            ["bench", "kronecker", *_REDUCIBLE, "--repeats", "1"],
+            "value: 7 != 1\n",
+        ),
     ],
-    ids=["compute-check", "reduce-execute", "bench"],
+    ids=[
+        "compute-check",
+        "compute-check-lr",
+        "compute-check-plethysm",
+        "compute-check-kostka-foulkes",
+        "reduce-execute",
+        "bench",
+    ],
 )
-def test_disagreement_exits_3(capsys, weight_skewed_kronecker, argv, said):
-    # g((2,2,2), (2,2,2), (6)) = 1, which the oracle and the reduced
-    # instance (weight 0) both give; the skewed engine gives 1 + 6
+def test_disagreement_exits_3(capsys, monkeypatch, engine, argv, said):
+    # only the engine is skewed, so --check must reach the family's oracle
+    # to disagree, and a reduction must reach a second instance
+    _skew(monkeypatch, engine)
     code, out, err = run(capsys, *argv)
     assert code == EXIT_MISMATCH
     assert (out + err).endswith(said)

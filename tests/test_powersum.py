@@ -8,8 +8,8 @@ from rectsym.polyring import LaurentPoly
 from rectsym.powersum import (
     CharCache,
     _position,
+    _row,
     char_row,
-    char_value,
     class_sizes,
     zee,
 )
@@ -89,19 +89,23 @@ def test_char_table_s4_row():
 
 
 def test_char_value():
-    assert char_value((2, 1), (1, 1, 1)) == 2
-    assert char_value((2, 1), (3,)) == -1
-    assert char_value((4, 2), (1,) * 6) == dim((4, 2))
+    # chi^lam at the n-cycle, the first class of partitions_of(n): (-1)^k for
+    # the hook (n-k, 1^k), and 0 for every other shape
+    for n in range(1, 13):
+        for lam in partitions_of(n):
+            hook = len(lam) == 1 or lam[1] == 1
+            want = (-1) ** (len(lam) - 1) if hook else 0
+            assert char_row(lam)[0] == want, lam
 
 
 def test_char_dimension_column():
+    # the class (1^w) comes last in partitions_of order
     for w in range(1, 7):
-        ones = (1,) * w
         for lam in partitions_of(w):
-            assert char_value(lam, ones) == dim(lam)
+            assert char_row(lam)[-1] == dim(lam)
     # rectangles of the benchmark ladder, up to weight 32
     for lam in [(3,) * 6, (4,) * 7, (10,) * 3, (5,) * 6, (4,) * 8]:
-        assert char_value(lam, (1,) * sum(lam)) == dim(lam), lam
+        assert char_row(lam)[-1] == dim(lam), lam
 
 
 def test_char_dimension_column_at_weight_20():
@@ -119,15 +123,15 @@ def test_position_is_place_in_ascending_partitions():
 
 
 def test_char_value_is_row_entry_at_every_class():
+    # the engines read chi^lam(rho) off the lex-ascending row at
+    # _position(rho); that is the entry of char_row at rho
     cache = CharCache()
     for n in range(13):
         classes = partitions_of(n)
         for lam in classes:
             row = char_row(lam)
-            for rho in classes:
-                want = row[classes.index(rho)]
-                assert char_value(lam, rho, cache) == want, (lam, rho)
-                assert char_value(lam, rho[::-1], cache) == want, (lam, rho)
+            for i, rho in enumerate(classes):
+                assert _row(lam, cache)[_position(rho)] == row[i], (lam, rho)
 
 
 def test_char_column_orthogonality():
@@ -167,22 +171,13 @@ def test_char_rejects_malformed_partition():
     with pytest.raises(ValueError):
         char_row((1, 2), CharCache())
     with pytest.raises(ValueError):
-        char_value((1, 2), (3,))
-    with pytest.raises(ValueError):
-        char_value((2, -1, 2), (3,))
-
-
-def test_char_value_rejects_non_positive_cycle_part():
-    with pytest.raises(ValueError):
-        char_value((2, 1), (2, 1, 0))
-    with pytest.raises(ValueError):
-        char_value((3,), (4, -1))
+        char_row((2, -1, 2))
 
 
 def test_char_strips_trailing_zeros():
     cache = CharCache()
     assert char_row((2, 1, 0), cache) == char_row((2, 1)) == (-1, 0, 2)
-    assert char_value((2, 1, 0, 0), (3,)) == -1
+    assert char_row((2, 1, 0, 0))[0] == -1
 
 
 def test_char_values_are_power_sum_schur_coefficients():
@@ -194,8 +189,9 @@ def test_char_values_are_power_sum_schur_coefficients():
             for part in rho[1:]:
                 poly = poly * power_sum_poly(part, n)
             coeffs = schur_coefficients(poly, n)
+            i = partitions_of(n).index(rho)
             for lam in partitions_of(n):
-                assert char_value(lam, rho) == coeffs.get(lam, 0), (lam, rho)
+                assert char_row(lam)[i] == coeffs.get(lam, 0), (lam, rho)
 
 
 def test_char_conjugation_twists_by_sign():
