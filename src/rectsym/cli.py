@@ -9,7 +9,9 @@ Four working subcommands plus a rule applicator:
   apply     a single symmetry rule applied to explicit indices
 
 Every fact about a family (its name, arity, engine, oracle and planner) is
-read from symmetries.FAMILIES; no subcommand branches on the family.
+read from symmetries.FAMILIES, which the library reads by either spelling
+("kron" or "kronecker"); no subcommand branches on the family or maps its
+name, and argparse checks family and rule names.
 
 Partitions are comma-separated part lists; the empty partition is written 0.
 Exit codes: 0 success, 1 a verification sweep found a counterexample,
@@ -26,12 +28,12 @@ from .partitions import format_partition, parse_partition
 from .symmetries import (
     BOX_PARAMS,
     FAMILIES,
-    FAMILY_KEY,
     FAMILY_OF,
     RULE_NAMES,
     SweepBounds,
     SweepContext,
     SweepWorkerDied,
+    _family_key,
     apply_rule,
     bench_reduction,
     coefficient_of,
@@ -66,9 +68,9 @@ def _parse_box_list(text):
 
 def _read_indices(args, name, family):
     """The index tuple from --lambda, --mu and --nu, as many as the arity of
-    family (a FAMILIES key); name heads the ValueError."""
+    family (either spelling); name heads the ValueError."""
     indices = (parse_partition(args.lam), parse_partition(args.mu))
-    if FAMILIES[family].arity == 2:
+    if FAMILIES[_family_key(family)].arity == 2:
         if args.nu is not None:
             raise ValueError(f"{name} takes --lambda and --mu only")
         return indices
@@ -84,13 +86,12 @@ def _read_indices(args, name, family):
 def _compute_value(family, indices, method):
     if method == "main":
         return coefficient_of(family, indices)
-    return FAMILIES[family].oracle(indices)
+    return FAMILIES[_family_key(family)].oracle(indices)
 
 
 def cmd_compute(args):
-    family = FAMILY_KEY[args.family]
-    indices = _read_indices(args, f"compute {args.family}", family)
-    value = _compute_value(family, indices, args.method)
+    indices = _read_indices(args, f"compute {args.family}", args.family)
+    value = _compute_value(args.family, indices, args.method)
     payload = {
         "command": "compute",
         "family": args.family,
@@ -103,7 +104,7 @@ def cmd_compute(args):
         payload["nu"] = list(indices[2])
     if args.check:
         other_method = "oracle" if args.method == "main" else "main"
-        other = _compute_value(family, indices, other_method)
+        other = _compute_value(args.family, indices, other_method)
         payload["check_method"] = other_method
         payload["check_value"] = other if isinstance(other, int) else str(other)
         payload["agrees"] = value == other
@@ -123,14 +124,7 @@ def cmd_compute(args):
 
 
 def cmd_verify(args):
-    if args.rule == "all":
-        rules = RULE_NAMES
-    elif args.rule in RULE_NAMES:
-        rules = (args.rule,)
-    else:
-        raise ValueError(
-            f"unknown rule {args.rule!r}; choose one of {', '.join(RULE_NAMES)} or all"
-        )
+    rules = RULE_NAMES if args.rule == "all" else (args.rule,)
     max_box = max(_parse_box_list(args.boxes)) if args.boxes else SweepBounds.max_box
     bounds = SweepBounds(
         max_weight=args.max_weight,
@@ -207,13 +201,13 @@ def _render_report(report):
 
 
 def cmd_reduce(args):
-    indices = _read_indices(args, f"reduce {args.family}", FAMILY_KEY[args.family])
+    indices = _read_indices(args, f"reduce {args.family}", args.family)
     report = reduce_indices(args.family, indices)
     payload = {"command": "reduce", **report.as_dict()}
     text = _render_report(report)
     if args.execute:
         ctx = SweepContext()
-        original_value = coefficient_of(FAMILY_KEY[args.family], report.original, ctx)
+        original_value = coefficient_of(args.family, report.original, ctx)
         final_value = reduced_value(report, ctx)
         payload["original_value"] = original_value
         payload["reduced_value"] = final_value
@@ -231,7 +225,7 @@ def cmd_reduce(args):
 
 
 def cmd_bench(args):
-    indices = _read_indices(args, f"bench {args.family}", FAMILY_KEY[args.family])
+    indices = _read_indices(args, f"bench {args.family}", args.family)
     try:
         result = bench_reduction(args.family, indices, repeats=args.repeats)
     except AssertionError as exc:
@@ -257,10 +251,6 @@ def cmd_bench(args):
 
 
 def cmd_apply(args):
-    if args.rule not in RULE_NAMES:
-        raise ValueError(
-            f"unknown rule {args.rule!r}; choose one of {', '.join(RULE_NAMES)}"
-        )
     indices = _read_indices(args, args.rule, FAMILY_OF[args.rule])
     params = {"l": args.l, "m": args.m, "n": args.n, "k": args.k}
     if args.box:
@@ -327,7 +317,7 @@ def build_parser():
     planned = tuple(spec.name for spec in FAMILIES.values() if spec.planner)
 
     p = sub.add_parser("compute", help="one coefficient")
-    p.add_argument("family", choices=tuple(FAMILY_KEY))
+    p.add_argument("family", choices=tuple(spec.name for spec in FAMILIES.values()))
     _add_partition_flags(p)
     p.add_argument("--method", choices=("main", "oracle"), default="main")
     p.add_argument(
@@ -339,7 +329,10 @@ def build_parser():
     p.set_defaults(fn=cmd_compute)
 
     p = sub.add_parser("verify", help="exhaustive symmetry sweeps")
-    p.add_argument("rule", help="one of the ten rule names, or all")
+    p.add_argument(
+        "rule", choices=(*RULE_NAMES, "all"), metavar="rule",
+        help="one of the ten rule names, or all",
+    )
     p.add_argument("--max-weight", type=int, default=SweepBounds.max_weight)
     p.add_argument(
         "--boxes",
@@ -375,7 +368,7 @@ def build_parser():
     p.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("apply", help="one symmetry rule on explicit indices")
-    p.add_argument("rule")
+    p.add_argument("rule", choices=RULE_NAMES, metavar="rule")
     _add_partition_flags(p)
     p.add_argument("--box", metavar="DIMS", help=_BOX_HELP)
     p.add_argument("--l", type=int, default=None)

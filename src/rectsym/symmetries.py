@@ -102,14 +102,19 @@ def _family_of(rule):
     return FAMILY_OF[rule]
 
 
-def _partitions(name, family, indices):
-    """indices as partitions, after checking that there are as many as the
-    family (a coefficient_of key) takes; name heads the ValueError."""
-    spec = FAMILIES.get(family)
-    if spec is None:
+def _family_key(family):
+    """The FAMILIES key of a family spelled by its key or its name."""
+    if family not in _SPELLINGS:
         raise ValueError(f"unknown family {family!r}")
-    if len(indices) != spec.arity:
-        raise ValueError(f"{name} acts on {spec.arity} partitions, got {len(indices)}")
+    return _SPELLINGS[family]
+
+
+def _partitions(name, key, indices):
+    """indices as partitions, after checking that there are as many as the
+    family with that FAMILIES key takes; name heads the ValueError."""
+    arity = FAMILIES[key].arity
+    if len(indices) != arity:
+        raise ValueError(f"{name} acts on {arity} partitions, got {len(indices)}")
     return tuple(to_partition(p) for p in indices)
 
 
@@ -399,15 +404,16 @@ def _value(family, indices, ctx):
 
 
 def coefficient_of(family, indices, ctx=None):
-    """Coefficient value for one family ("lr", "kron", "pleth" or "kf"); the
-    entry point the command line uses.  The family, the number of indices
-    (its arity) and every index being a partition (trailing zeros allowed) are
-    checked, else ValueError, before ctx is read or written; a call without
-    ctx gets a private one."""
-    indices = _partitions(family, family, indices)
+    """Coefficient value for one family, by its FAMILIES key or its name
+    ("kron" or "kronecker"); the entry point the command line uses.  The
+    family, the number of indices (its arity) and every index being a
+    partition (trailing zeros allowed) are checked, else ValueError, before
+    ctx is read or written; a call without ctx gets a private one."""
+    key = _family_key(family)
+    indices = _partitions(family, key, indices)
     if ctx is None:
         ctx = SweepContext()
-    return _value(family, indices, ctx)
+    return _value(key, indices, ctx)
 
 
 @dataclass
@@ -799,15 +805,15 @@ FAMILIES = {
     ),
 }
 
-FAMILY_KEY = {spec.name: key for key, spec in FAMILIES.items()}
+_SPELLINGS = {s: key for key, spec in FAMILIES.items() for s in (key, spec.name)}
 
 
 def reduce_indices(family, indices):
     """The reduction report of a planned family's index tuple, the family by
-    its name; the number of indices and every index being a partition are
-    checked as in coefficient_of."""
-    key = FAMILY_KEY.get(family)
-    if key is None or FAMILIES[key].planner is None:
+    either spelling; the family, the number of indices and every index being
+    a partition are checked as in coefficient_of."""
+    key = _family_key(family)
+    if FAMILIES[key].planner is None:
         raise ValueError(f"no reduction planner for family {family!r}")
     return FAMILIES[key].planner(*_partitions(family, key, indices))
 
@@ -823,14 +829,14 @@ def reduced_value(report, ctx=None):
         return 0
     if ctx is None:
         ctx = SweepContext()
-    return _value(FAMILY_KEY[report.family], report.reduced, ctx)
+    return _value(_family_key(report.family), report.reduced, ctx)
 
 
 def check_reduction(report, ctx=None):
     """Recompute both ends of the chain; True when the value is preserved."""
     if ctx is None:
         ctx = SweepContext()
-    original = _value(FAMILY_KEY[report.family], report.original, ctx)
+    original = _value(_family_key(report.family), report.original, ctx)
     return original == reduced_value(report, ctx)
 
 
@@ -860,22 +866,22 @@ def bench_reduction(family, indices, repeats=3):
     repeats = to_count(repeats, "repeats")
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
-    # planning first rejects a family without a planner, or bad indices,
-    # before any timing
+    # planning first rejects an unknown family, a family without a planner,
+    # or bad indices, before any timing
     report = reduce_indices(family, indices)
     indices = report.original
     naive_value, naive_s = _timed(
-        lambda: coefficient_of(FAMILY_KEY[family], indices, SweepContext()), repeats
+        lambda: coefficient_of(family, indices, SweepContext()), repeats
     )
     value, reduced_s = _timed(
         lambda: reduced_value(reduce_indices(family, indices), SweepContext()), repeats
     )
     if value != naive_value:
         raise AssertionError(
-            f"reduction changed the {family} value: {naive_value} != {value}"
+            f"reduction changed the {report.family} value: {naive_value} != {value}"
         )
     return {
-        "family": family,
+        "family": report.family,
         "indices": [list(p) for p in indices],
         "value": _json_value(naive_value),
         "weight_before": report.weight_before,

@@ -342,9 +342,11 @@ def test_verify_text_streams_each_rule(monkeypatch):
 
 
 def test_verify_unknown_rule(capsys):
-    code, _, err = run(capsys, "verify", "no-such-rule")
-    assert code == EXIT_USAGE
-    assert "error:" in err
+    # argparse checks the rule name, as it checks compute's family
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "no-such-rule"])
+    assert info.value.code == EXIT_USAGE
+    assert "invalid choice: 'no-such-rule'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -647,6 +649,13 @@ def test_compute_has_no_box_option(capsys):
         )
     assert info.value.code == 2
     assert "--box" in capsys.readouterr().err
+
+
+def test_apply_unknown_rule(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["apply", "no-such-rule", "--lambda", "1", "--mu", "1", "--nu", "2"])
+    assert info.value.code == EXIT_USAGE
+    assert "invalid choice: 'no-such-rule'" in capsys.readouterr().err
 
 
 def test_argparse_rejects_unknown_family(capsys):

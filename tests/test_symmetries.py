@@ -190,6 +190,106 @@ def test_shift_floor_matches_translated_partition():
     assert cases == 18904
 
 
+def _outer_counts(mu, n):
+    """(r, q) of the outer plethysm rules: r = count_ssyt(mu, n), q = r|mu|/n."""
+    r = count_ssyt(mu, n)
+    q, rem = divmod(r * sum(mu), n)
+    assert rem == 0, (mu, n)
+    return r, q
+
+
+def _pleth_box_outer_image(lam, mu, nu, l, n):
+    r, q = _outer_counts(mu, n)
+    return (l * r - sum(lam), sum(mu), q * l * n - sum(nu)), ((l, r), None, (q * l, n))
+
+
+def _pleth_translate_outer_image(lam, mu, nu, n, k):
+    r, q = _outer_counts(mu, n)
+    return (sum(lam) + k * r, sum(mu), sum(nu) + q * k * n), r
+
+
+# What the paper says each rule's image is, from the indices and parameters
+# alone: (weights, extent).  weights: the weight of each image index.
+# extent: for a box rule, the (width, height) box each complemented index fits
+# in, or None for an index the rule keeps; for a translation, a row count of
+# its rectangles that is 0 only when they are all empty, so that k != 0 must
+# change the weight unless it is 0.
+PAPER_IMAGES = {
+    "lr-box": lambda lam, mu, nu, l, m, n: (
+        (l * n - sum(lam), m * n - sum(mu), (l + m) * n - sum(nu)),
+        ((l, n), (m, n), (l + m, n)),
+    ),
+    "lr-translate": lambda lam, mu, nu, n, k: (
+        (sum(lam) + k * n, sum(mu), sum(nu) + k * n), n,
+    ),
+    "kron-box": lambda lam, mu, nu, l, m, n: (
+        (l * m * n - sum(lam),) * 3, ((l, m * n), (m, l * n), (n, l * m)),
+    ),
+    "kron-translate": lambda lam, mu, nu, l, m, k: ((sum(lam) + k * l * m,) * 3, l * m),
+    "pleth-box-inner": lambda lam, mu, nu, m, n: (
+        (sum(lam), m * n - sum(mu), m * sum(lam) * n - sum(nu)),
+        (None, (m, n), (m * sum(lam), n)),
+    ),
+    "pleth-translate-inner": lambda lam, mu, nu, n, k: (
+        (sum(lam), sum(mu) + k * n, sum(nu) + k * sum(lam) * n), n,
+    ),
+    "pleth-box-outer": _pleth_box_outer_image,
+    "pleth-translate-outer": _pleth_translate_outer_image,
+    "kf-box": lambda lam, mu, k, n: ((k * n - sum(lam), k * n - sum(mu)), ((k, n), (k, n))),
+    "kf-translate": lambda lam, mu, n, k: ((sum(lam) + k * n, sum(mu) + k * n), n),
+}
+
+
+def test_rule_images_match_the_paper_without_coefficients():
+    # every instance the default sweep walks, and no coefficient computed
+    instances = 0
+    for rule in RULE_NAMES:
+        for indices, params in symmetries._instances(rule, SweepBounds()):
+            instances += 1
+            image = symmetries._apply(rule, indices, params)
+            if image is None:
+                continue
+            weights, extent = PAPER_IMAGES[rule](*indices, **params)
+            where = (rule, indices, params, image)
+            assert tuple(sum(p) for p in image) == weights, where
+            if rule in symmetries.BOX_PARAMS:
+                for p, box in zip(image, extent):
+                    if box is not None:
+                        width, height = box
+                        assert (p[0] if p else 0) <= width and len(p) <= height, where
+            elif params["k"] and extent:
+                assert sum(map(sum, image)) != sum(map(sum, indices)), where
+    assert instances == 34508
+
+
+def _floors():
+    """(rule, parameter) for every box dimension and row count with a floor."""
+    return [
+        pytest.param(rule, name, id=f"{rule}-{name}")
+        for rule in RULE_NAMES
+        for name in symmetries.RULES[rule].floors(
+            *((),) * symmetries.FAMILIES[FAMILY_OF[rule]].arity
+        )
+    ]
+
+
+@pytest.mark.parametrize("rule, name", _floors())
+def test_every_box_and_row_floor_is_needed(monkeypatch, rule, name):
+    # one floor lowered by one, never below the parameter's least legal value
+    # (the outer plethysm rules divide by n), and a small sweep must find a
+    # counterexample
+    real = symmetries.RULES[rule]
+    least = 1 if rule.endswith("-outer") and name == "n" else 0
+
+    def lowered(*indices):
+        floors = real.floors(*indices)
+        return {**floors, name: max(least, floors[name] - 1)}
+
+    monkeypatch.setitem(symmetries.RULES, rule, dataclasses.replace(real, floors=lowered))
+    report = verify_rule(rule, SweepBounds(max_weight=4, max_box=3))
+    assert report.counterexamples, (rule, name, report.checked)
+
+
 # (checked, transformed, vanished, skipped) per rule at SweepBounds(), the
 # counts perfbench/workloads.py pins as PINNED_RULES
 PINNED_SWEEP = {
@@ -493,8 +593,10 @@ def test_reduce_indices_dispatch():
     assert r.family == "kronecker"
     r = reduce_indices("plethysm", ((1,), (1, 1), (2,)))
     assert r.vanishes
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^no reduction planner for family 'lr'$"):
         reduce_indices("lr", ((1,), (1,), (2,)))
+    with pytest.raises(ValueError, match="^no reduction planner for family 'kf'$"):
+        reduce_indices("kf", ((1,), (1,)))
 
 
 def test_reduction_report_schema():
@@ -681,6 +783,54 @@ def test_coefficient_of_rejects_wrong_index_count(name, want, got, call):
 def test_coefficient_of_rejects_unknown_family():
     with pytest.raises(ValueError, match="unknown family 'nope'"):
         coefficient_of("nope", ((1,), (1,), (2,)))
+
+
+# each family with two spellings, by its FAMILIES key and by its name, and an
+# index tuple of it that the planned families reduce to a lighter one
+TWO_SPELLINGS = [
+    pytest.param("kron", "kronecker", ((2, 2), (2, 2), (4,)), id="kron"),
+    pytest.param("pleth", "plethysm", ((2,), (2, 2), (4, 4)), id="pleth"),
+    pytest.param("kf", "kostka-foulkes", ((2, 1), (1, 1, 1)), id="kf"),
+]
+PLANNED_SPELLINGS = TWO_SPELLINGS[:2]
+
+
+@pytest.mark.parametrize("key, name, indices", TWO_SPELLINGS)
+def test_coefficient_of_reads_either_spelling(key, name, indices):
+    assert coefficient_of(name, indices) == coefficient_of(key, indices)
+
+
+@pytest.mark.parametrize("key, name, indices", PLANNED_SPELLINGS)
+def test_reduce_indices_reads_either_spelling(key, name, indices):
+    by_key = reduce_indices(key, indices)
+    assert by_key.chain
+    assert by_key == reduce_indices(name, indices)
+    # the report keeps the command-line name, whichever spelling planned it
+    assert by_key.family == name
+    assert reduced_value(by_key) == coefficient_of(key, indices)
+    assert check_reduction(by_key)
+
+
+@pytest.mark.parametrize("key, name, indices", PLANNED_SPELLINGS)
+def test_bench_reduction_reads_either_spelling(key, name, indices):
+    timings = ("naive_s", "reduced_s")
+    by_key, by_name = (
+        {k: v for k, v in bench_reduction(f, indices, repeats=1).items() if k not in timings}
+        for f in (key, name)
+    )
+    assert by_key == by_name
+    assert by_key["family"] == name
+
+
+@pytest.mark.parametrize(
+    "call",
+    [reduce_indices, lambda family, idx: bench_reduction(family, idx, repeats=1)],
+    ids=["reduce_indices", "bench_reduction"],
+)
+def test_planned_entry_points_reject_unknown_family(call):
+    # worded as coefficient_of words it
+    with pytest.raises(ValueError, match="^unknown family 'nope'$"):
+        call("nope", ((1,), (1,), (2,)))
 
 
 def test_verify_rejects_unknown_rule_before_any_work(monkeypatch):
