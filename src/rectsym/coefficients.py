@@ -11,18 +11,23 @@ can be played against each other:
   kron oracle  Garsia-Remmel sum: Jacobi-Trudi on s_lam in the h basis, each
                <h_alpha * s_mu, s_nu> a dynamic program over pairs of
                sub-partitions of (mu, nu) weighted by lattice-word LR counts
-  pleth      s_lam[s_mu] by one of two routes, chosen by length(nu) alone.
-             Up to POLY_MAX_ARITY rows of nu, the Jacobi-Trudi determinant
-             over the alphabet of s_mu in length(nu) variables, on
-             packed-integer monomials, read with schur_coefficients.  Longer
-             nu, the class sum in the power sum basis paired with chi^nu
-             over |lam|! |mu|!^|lam|.  Power sum products cached per mu,
+  pleth      s_lam[s_mu] by one of two routes, chosen by _by_determinant
+             from the key (lam, mu, length(nu)).  Every nu of up to
+             POLY_MAX_ARITY rows, and longer nu past weight 48, or past 18
+             over an alphabet of at most ten letters: the Jacobi-Trudi
+             determinant over the alphabet of s_mu in length(nu) variables,
+             on packed-integer monomials, read with schur_coefficients; the
+             unit laws s_lam[s_1] = s_lam and s_1[s_mu] = s_mu expand
+             nothing, and the e table is built only to its middle, the rest
+             read off by the elementary complement.  Other nu, the class sum
+             in the power sum basis paired with chi^nu over
+             |lam|! |mu|!^|lam|.  Power sum products cached per mu,
              expansions of both routes per (lam, mu, n)
-  pleth oracle  the route the engine does not take at length(nu): up to
-               POLY_MAX_ARITY rows the power sums, with a fresh CharCache
-               and no shared memo; past them the Jacobi-Trudi determinant
-               over h or e evaluated on the monomials of the inner Schur
-               polynomial
+  pleth oracle  the route the engine does not take at that key, with no
+               unit law: where the engine expands the determinant the power
+               sums, with a fresh CharCache and no shared memo; elsewhere
+               the Jacobi-Trudi determinant over h or e evaluated on the
+               monomials of the inner Schur polynomial
 
 The Kronecker oracle and both Jacobi-Trudi routes of plethysm expand their
 determinant with the one routine _jacobi_trudi, on packed monomials, each
@@ -43,6 +48,7 @@ from math import factorial
 from operator import add, lshift, mul
 
 from .partitions import (
+    _tableau_count,
     conjugate,
     contains,
     partitions_of,
@@ -359,36 +365,67 @@ def kronecker_oracle(lam, mu, nu, l, m, cache=None, table=None):
 # plethysm
 
 
-# Up to this many rows of nu, plethysm_coefficient expands s_lam[s_mu] by the
-# Jacobi-Trudi determinant over the alphabet of s_mu in length(nu) variables;
-# longer nu take the power sum expansion _p_expansion, whatever lam is;
-# plethysm_oracle takes the other route on each side.
-# Measured cold (2 vCPUs, Python 3.11.7): the rung (4)[(4,4)] at
-# (16,8,4,4) takes 37 ms by power sums and 41 ms by Jacobi-Trudi, and the
-# determinant at every arity made the benchmark's sweep reduce_s 17.8% and
-# its ladder pleth_s 8.7% slower.  Up to three rows the determinant wins:
-# with power sums alone the four plethysm rules at SweepBounds() take
-# 85-133 ms each instead of 45-85 ms, and the five three-row rungs of the
-# benchmark ladder 4.8-21 ms instead of 0.2-5.7 ms (medians of three cold
-# runs).
+# plethysm_coefficient expands s_lam[s_mu] in n = length(nu) variables by
+# the Jacobi-Trudi determinant over the alphabet of s_mu, whose r =
+# count_ssyt(mu, n) letters are the monomials of s_mu, or by the power sum
+# expansion _p_expansion.  The determinant takes every nu of up to
+# POLY_MAX_ARITY rows; past them it takes |nu| = |lam||mu| above
+# POWER_SUM_MAX_WEIGHT, and above SHORT_POWER_SUM_MAX_WEIGHT once r is at most
+# SHORT_ALPHABET; the power sums take the rest.  _by_determinant is the one
+# reading of this choice, and plethysm_oracle takes the other route.
+# Measured cold (2 vCPUs, Python 3.11.7), power sums against determinant:
+# - up to three rows the determinant wins: with power sums alone the four
+#   plethysm rules at SweepBounds() take 85-133 ms each instead of 45-85 ms,
+#   and the five three-row rungs of the benchmark ladder 4.8-21 ms instead
+#   of 0.2-5.7 ms;
+# - past |nu| = 48 the power sums build chi^nu on p(|nu|) classes:
+#   (5)[(3^4)] at (15^4), r = 1, 3.3 s and 352 MB against 0.2 ms;
+# - below, a long alphabet favours the power sums: (4,4,4)[(2,2)] at (12^4),
+#   r = 20, 255 against 1,497 ms; the ladder rung (4)[(4,4)] at (16,8,4,4),
+#   r = 105, 44 against 34 ms, close either way; at |nu| <= 18 they take
+#   under 3 ms;
+# - and a short one the determinant: (1^4)[(3^4)] at (12^4), r = 1, 568
+#   against 0.2 ms.  Of the 540 four-row expansions with 20 <= |nu| <= 48
+#   that the four plethysm rules read at --max-weight 8 --boxes 4 (r <= 45),
+#   the determinant is slower on one: (6,2^5)[(1,1)], r = 6, 39 against
+#   29 ms.  README has the whole panel.
 POLY_MAX_ARITY = 3
+POWER_SUM_MAX_WEIGHT = 48
+SHORT_POWER_SUM_MAX_WEIGHT = 18
+SHORT_ALPHABET = 10
+
+
+def _by_determinant(lam, mu, n):
+    """True when the engine expands s_lam[s_mu] in n variables by the
+    Jacobi-Trudi determinant, False when by the power sums; plethysm_oracle
+    takes the other route.  A function of the maps key (lam, mu, n) alone,
+    through n, |lam||mu| and r = count_ssyt(mu, n)."""
+    if n <= POLY_MAX_ARITY:
+        return True
+    weight = sum(lam) * sum(mu)
+    return weight > POWER_SUM_MAX_WEIGHT or (
+        weight > SHORT_POWER_SUM_MAX_WEIGHT and _tableau_count(mu, n)[0] <= SHORT_ALPHABET
+    )
 
 
 def plethysm_coefficient(lam, mu, nu, cache=None, powers=None, maps=None):
     """Multiplicity of s_nu in s_lam[s_mu].  Each index must be a partition
     (trailing zeros allowed), else ValueError.
 
-    The route depends on length(nu) alone, and plethysm_oracle takes the
-    other one.  Up to POLY_MAX_ARITY rows of nu, the Jacobi-Trudi
-    determinant over the alphabet of s_mu in length(nu) variables, on
-    packed monomials (ValueError when |nu| >= 2^PACK_BITS), read with
-    schur_coefficients.  Longer nu take the power sum expansion
-    _p_expansion, paired with chi^nu and divided exactly by
-    |lam|! |mu|!^|lam| (NonIntegralResult on a remainder).  cache is a
-    CharCache.  powers and maps are dicts that may be shared across calls:
-    powers maps mu to the power sum products keyed by rho, and maps
-    (lam, mu, n) to the Schur coefficients up to POLY_MAX_ARITY rows, or to
-    the _p_expansion past them.
+    The route depends on the maps key (lam, mu, length(nu)) alone
+    (_by_determinant), and plethysm_oracle takes the other one.  On the
+    determinant route the unit laws s_lam[s_1] = s_lam and s_1[s_mu] = s_mu
+    give the expansion outright; any other s_lam[s_mu] is the Jacobi-Trudi
+    determinant over the alphabet of s_mu in length(nu) variables, on packed
+    monomials (ValueError when |nu| >= 2^PACK_BITS), read with
+    schur_coefficients.
+    The power sum route takes the expansion _p_expansion, paired with
+    chi^nu and divided exactly by |lam|! |mu|!^|lam| (NonIntegralResult on
+    a remainder).  cache is a CharCache.  powers and maps are dicts that
+    may be shared across calls: powers maps mu to the power sum products
+    keyed by rho, and maps (lam, mu, n) to the Schur coefficients of
+    s_lam[s_mu] in n variables on the determinant route, unit laws
+    included, or to the _p_expansion on the power sum route.
     """
     lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
     if sum(lam) * sum(mu) != sum(nu):
@@ -399,17 +436,23 @@ def plethysm_coefficient(lam, mu, nu, cache=None, powers=None, maps=None):
         return 0 if lam else 1
     if cache is None:
         cache = CharCache()
+    by_determinant = _by_determinant(lam, mu, n)
     key = (lam, mu, n)
     coeffs = maps.get(key) if maps is not None else None
     if coeffs is None:
-        if n <= POLY_MAX_ARITY:
-            coeffs = _jacobi_trudi_at(lam, schur_poly_of_partition(mu, n))
-        else:
+        if not by_determinant:
             products = {} if powers is None else powers.setdefault(mu, {})
             coeffs = _p_expansion(lam, mu, products, cache)
+        elif mu == (1,):
+            # s_lam[s_1] = s_lam, which vanishes in fewer than length(lam) variables
+            coeffs = {lam: 1} if len(lam) <= n else {}
+        elif lam == (1,):
+            coeffs = {mu: 1}  # s_1[s_mu] = s_mu, and length(mu) <= n here
+        else:
+            coeffs = _jacobi_trudi_at(lam, schur_poly_of_partition(mu, n))
         if maps is not None:
             maps[key] = coeffs
-    if n <= POLY_MAX_ARITY:
+    if by_determinant:
         return coeffs.get(nu, 0)
     return _paired_with_chi(coeffs, lam, mu, nu, cache)
 
@@ -540,18 +583,45 @@ def _jacobi_trudi_at(lam, g):
     """Schur coefficients of s_lam evaluated at the monomials of the nonzero
     Schur polynomial g: the Jacobi-Trudi determinant over the h table of
     that alphabet on lam, or over its e table on lam' when lam' is shorter,
-    on packed monomials (ValueError when |lam| deg(g) >= 2^PACK_BITS)."""
+    on packed monomials (ValueError when |lam| deg(g) >= 2^PACK_BITS).
+
+    An alphabet of r letters with packed product P has e_k = 0 past r and
+    e_k = {P - e: c for e, c in e_(r-k)} (Macdonald, I §2: each k-subset is
+    the complement of an (r-k)-subset), so the e table is built only up to
+    the largest min(k, r - k) over the determinant's entries k, and each
+    entry above that is read off its complement."""
     n = g.arity
     packed = _pack(g, sum(lam) * sum(next(iter(g.terms))))
     alphabet = [key for key, c in packed.items() for _ in range(c)]
     conj = conjugate(lam)
-    shape, table_of = (lam, _h_table) if len(lam) <= len(conj) else (conj, _e_table)
-    top = shape[0] + len(shape) - 1 if shape else 0
-    table = table_of(alphabet, top)
-    det = _jacobi_trudi(shape, lambda k: table[k] if 0 <= k <= top else {})
+    if len(lam) <= len(conj):
+        shape = lam
+        top = shape[0] + len(shape) - 1 if shape else 0
+        table = _h_table(alphabet, top)
+        entries = dict(enumerate(table))
+    else:
+        shape = conj
+        r = len(alphabet)
+        used = {
+            k
+            for i, part in enumerate(shape)
+            for k in range(part - i, part - i + len(shape))
+            if 0 <= k <= r
+        }
+        m = max((min(k, r - k) for k in used), default=0)
+        table = _e_table(alphabet, m)
+        full = sum(alphabet)
+        entries = {k: table[k] if k <= m else _complemented(table[r - k], full) for k in used}
+    det = _jacobi_trudi(shape, lambda k: entries.get(k, {}))
     poly = LaurentPoly(n)
     poly.terms = {_unpack_key(e, n): c for e, c in det.items()}
     return schur_coefficients(poly, n)
+
+
+def _complemented(entry, full):
+    """e_k of an alphabet of r letters whose packed product is full, from
+    entry = e_(r-k): each monomial e becomes full - e."""
+    return {full - e: c for e, c in entry.items()}
 
 
 @lru_cache(maxsize=1024)
@@ -566,16 +636,17 @@ def _pleth_oracle_expansion(lam, mu, n):
 
 def plethysm_oracle(lam, mu, nu):
     """Multiplicity of s_nu in s_lam[s_mu] by the route plethysm_coefficient
-    does not take at length(nu).  Up to POLY_MAX_ARITY rows of nu, the power
-    sum expansion _p_expansion with a fresh CharCache, paired with chi^nu
-    (NonIntegralResult on a remainder); past them, the Jacobi-Trudi
+    does not take at the key (lam, mu, length(nu)), with no unit law.  Where
+    the engine takes the determinant (_by_determinant), the power sum
+    expansion _p_expansion with a fresh CharCache, paired with chi^nu
+    (NonIntegralResult on a remainder); elsewhere, the Jacobi-Trudi
     determinant over the alphabet of s_mu in length(nu) variables, cached
     per (lam, mu, length(nu)).  Each index must be a partition (trailing
     zeros allowed), else ValueError."""
     lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
     if sum(lam) * sum(mu) != sum(nu):
         return 0
-    if len(nu) <= POLY_MAX_ARITY:
+    if _by_determinant(lam, mu, len(nu)):
         cache = CharCache()
         return _paired_with_chi(_p_expansion(lam, mu, {}, cache), lam, mu, nu, cache)
     coeffs = _pleth_oracle_expansion(lam, mu, len(nu))

@@ -235,6 +235,17 @@ def count_ssyt(p, n):
     return total
 
 
+@lru_cache(maxsize=1024)
+def _tableau_count(mu, n):
+    """(r, q) for a partition mu and n >= 1: r = count_ssyt(mu, n) and
+    q = r|mu|/n, as one exact division (a remainder raises ArithmeticError)."""
+    r = count_ssyt(mu, n)
+    total = r * sum(mu)
+    if total % n:
+        raise ArithmeticError(f"q = {total}/{n} is not integral for mu={mu}")
+    return r, total // n
+
+
 def iter_ssyt(shape, n, content=None):
     """Yield semistandard tableaux of the given shape, entries in 1..n.
 

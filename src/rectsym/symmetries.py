@@ -38,7 +38,6 @@ report, and conjugates the winner's triple and applies the complement to it.
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 from itertools import product
 from math import inf
 
@@ -52,9 +51,9 @@ from .coefficients import (
 )
 from .hall_littlewood import kostka_foulkes, kostka_foulkes_oracle
 from .partitions import (
+    _tableau_count,
     box_complements,
     conjugate,
-    count_ssyt,
     partitions_of,
     to_count,
     to_partition,
@@ -96,15 +95,17 @@ def _require(cond, rule, clause):
 
 
 def _family_of(rule):
-    """The family of a rule name, else ValueError."""
-    if rule not in FAMILY_OF:
+    """The family of a rule name, else ValueError (an unhashable name
+    included)."""
+    if not isinstance(rule, str) or rule not in FAMILY_OF:
         raise ValueError(f"unknown rule {rule!r}")
     return FAMILY_OF[rule]
 
 
 def _family_key(family):
-    """The FAMILIES key of a family spelled by its key or its name."""
-    if family not in _SPELLINGS:
+    """The FAMILIES key of a family spelled by its key or its name, else
+    ValueError (an unhashable name included)."""
+    if not isinstance(family, str) or family not in _SPELLINGS:
         raise ValueError(f"unknown family {family!r}")
     return _SPELLINGS[family]
 
@@ -120,17 +121,6 @@ def _partitions(name, key, indices):
 
 def _first(p):
     return p[0] if p else 0
-
-
-@lru_cache(maxsize=1024)
-def _tableau_count(mu, n):
-    """(r, q) for a partition mu and n >= 1: r = count_ssyt(mu, n) and
-    q = r|mu|/n, as one exact division (a remainder raises ArithmeticError)."""
-    r = count_ssyt(mu, n)
-    total = r * sum(mu)
-    if total % n:
-        raise ArithmeticError(f"q = {total}/{n} is not integral for mu={mu}")
-    return r, total // n
 
 
 def tableau_ratio(mu, n):
@@ -367,10 +357,12 @@ class SweepContext:
     """Caches scoped to one sweep: the character rows of a CharCache (each
     shape's row built block by block, as far as the largest part bound any
     call asked of it), the plethysm engine's caches (powers: the power sum
-    route's products prod_i F(rho_i) per mu, keyed by rho, filled only past
-    three rows of nu; maps: the expansion of s_lam[s_mu] per
-    (lam, mu, n), Schur coefficients from the Jacobi-Trudi determinant up
-    to three rows or power sum coefficients past them), and four value
+    route's products prod_i F(rho_i) per mu, keyed by rho, filled only where
+    coefficients._by_determinant sends (lam, mu, n) to the power sums; maps:
+    the expansion of s_lam[s_mu] per (lam, mu, n): where that predicate
+    sends the key to the determinant, its Schur coefficients ({lam: 1} or
+    {mu: 1} by a unit law, else from the Jacobi-Trudi determinant), and
+    elsewhere its power sum coefficients), and four value
     memos, one per family.  kron is keyed by the sorted triple, lr and pleth
     by the ordered triple (lam, mu, nu) and kf by the ordered pair
     (lam, mu); no key uses any of the rules the sweeps check.  The keys

@@ -415,6 +415,103 @@ def test_plethysm_matches_oracle_past_criterion_2(data):
     assert plethysm_coefficient(lam, mu, nu) == plethysm_oracle(lam, mu, nu)
 
 
+@pytest.mark.parametrize(
+    "lam, mu, n, by_determinant",
+    [
+        ((2,), (2,), 4, False),  # |nu| <= 18
+        ((3,), (6,), 4, False),  # |nu| = 18, r = 84
+        ((4,), (4, 4), 4, False),  # the ladder rung at (16,8,4,4), r = 105
+        ((4, 4), (3, 2), 4, False),  # r = 60
+        ((4, 4, 4), (2, 2), 4, False),  # |nu| = 48, r = 20
+        ((3,), (2, 2, 2, 1), 4, True),  # |nu| = 21, r = 4
+        ((1, 1, 1, 1), (3, 3, 3, 3), 4, True),  # |nu| = 48, r = 1
+        ((4,), (4, 4, 3, 3), 4, True),  # |nu| = 56
+        ((5,), (3, 3, 3, 3), 4, True),  # |nu| = 60
+        ((2,) * 6, (2,), 3, True),  # three rows
+    ],
+)
+def test_plethysm_route_reads_the_maps_key(lam, mu, n, by_determinant):
+    # past three rows the determinant takes |nu| > 48, and |nu| > 18 over an
+    # alphabet of at most ten letters; plethysm_oracle takes the other route
+    assert coefficients._by_determinant(lam, mu, n) is by_determinant
+
+
+def _unit_law_cases(max_weight, max_rows):
+    """(lam, mu, nu, s_lam[s_mu] at nu) over lam |- w, mu = (1), and
+    lam = (1), mu |- w, for w <= max_weight, every nu |- w of at most
+    max_rows rows."""
+    for w in range(1, max_weight + 1):
+        for p in partitions_of(w):
+            for nu in partitions_of(w, max_rows):
+                yield p, (1,), nu, int(nu == p)
+                yield (1,), p, nu, int(nu == p)
+
+
+def _engine_values(monkeypatch, cases):
+    """The engine's values with both expansions broken: the unit laws must
+    answer every case."""
+    with monkeypatch.context() as patched:
+        for name in ("_jacobi_trudi_at", "_p_expansion"):
+            patched.setattr(coefficients, name, _no_expansion)
+        return [plethysm_coefficient(lam, mu, nu) for lam, mu, nu, _ in cases]
+
+
+def _no_expansion(*args):
+    raise AssertionError("a unit law expanded s_lam[s_mu]")
+
+
+def test_plethysm_unit_laws_up_to_three_rows(monkeypatch):
+    # s_lam[s_1] = s_lam and s_1[s_mu] = s_mu for every lam, mu of weight
+    # up to 10 and every nu of at most three rows, against the oracle's
+    # power sums
+    cases = list(_unit_law_cases(10, POLY_MAX_ARITY))
+    assert len(cases) == 2 * 1434
+    values = _engine_values(monkeypatch, cases)
+    for (lam, mu, nu, value), got in zip(cases, values):
+        assert got == plethysm_oracle(lam, mu, nu) == value, (lam, mu, nu)
+
+
+@pytest.mark.parametrize("shape", [(5, 5, 5, 4), (4, 4, 4, 4, 3)], ids=["n4", "n5"])
+def test_plethysm_unit_laws_past_three_rows(monkeypatch, shape):
+    # at |nu| = 19 in n = length(shape) variables, where the alphabet of
+    # s_1 and that of s_shape each have n letters, the engine takes the
+    # determinant and the unit laws; every nu of n rows, against the power
+    # sums
+    n = len(shape)
+    cases = [
+        case
+        for nu in partitions_of(19, n)
+        if len(nu) == n
+        for case in ((shape, (1,), nu, int(nu == shape)), ((1,), shape, nu, int(nu == shape)))
+    ]
+    assert all(coefficients._by_determinant(lam, mu, n) for lam, mu, _, _ in cases)
+    values = _engine_values(monkeypatch, cases)
+    for (lam, mu, nu, value), got in zip(cases, values):
+        assert got == plethysm_oracle(lam, mu, nu) == value, (lam, mu, nu)
+
+
+def test_dropping_the_alphabet_product_from_the_complement_is_caught(monkeypatch):
+    # the determinant reads e_k past the middle of the e table as e_(r-k)
+    # turned over by the product P of the alphabet.  Without P, playing the
+    # engine against the oracle's power sums must flag an instance, with
+    # neither lam nor mu equal to (1): the unit laws never reach the e table
+    real = coefficients._complemented
+    monkeypatch.setattr(coefficients, "_complemented", lambda entry, full: real(entry, 0))
+    flagged = []
+    for a in range(2, 5):
+        for b in range(2, 8 // a + 1):
+            for lam in partitions_of(a):
+                for mu in partitions_of(b):
+                    for nu in partitions_of(a * b, POLY_MAX_ARITY):
+                        try:
+                            got = plethysm_coefficient(lam, mu, nu)
+                        except ValueError:  # the mutant's polynomial is not symmetric
+                            got = None
+                        if got != plethysm_oracle(lam, mu, nu):
+                            flagged.append((lam, mu, nu))
+    assert ((1, 1), (2, 1), (3, 3)) in flagged
+
+
 # ---------------------------------------------------------------------------
 # the determinant against the power sums
 

@@ -52,9 +52,10 @@ def test_lr_oracle_counts_no_lattice_words(monkeypatch):
         assert coefficients.lr_coefficient_oracle(lam, mu, nu) == c, (lam, mu, nu)
 
 
-# up to three rows of nu the engine expands the Jacobi-Trudi determinant,
-# so the oracle may expand none; past three rows the engine pairs power sums
-# with characters, so the oracle may read none
+# where coefficients._by_determinant holds the engine expands the Jacobi-Trudi
+# determinant (every nu of up to three rows; longer nu past weight 48, or past
+# weight 18 over a short alphabet), so the oracle may expand none; elsewhere
+# the engine pairs power sums with characters, so the oracle may read none
 PLETHYSM_PINS = [
     ((2,), (2,), (4,), 1),
     ((2,), (2,), (2, 2), 1),
@@ -63,16 +64,28 @@ PLETHYSM_PINS = [
     ((3,), (2,), (4, 2), 1),
     ((2,), (2, 1), (3, 2, 1), 1),
     ((2,) * 6, (2,), (8, 8, 8), 1),
+    ((3,), (2, 2, 2, 1), (6, 6, 6, 3), 1),
+    ((5, 5, 5, 4), (1,), (5, 5, 5, 4), 1),
     ((2,), (1, 1), (1, 1, 1, 1), 1),
     ((2,), (2,), (1, 1, 1, 1), 0),
     ((1, 1), (1, 1), (2, 1, 1), 1),
     ((2,), (2, 1), (3, 1, 1, 1), 1),
     ((3,), (1, 1), (2, 2, 1, 1), 1),
+    ((4,), (4, 4), (16, 8, 4, 4), 2),
 ]
 
 
+def _pins(by_determinant):
+    """The pins on which the engine takes the determinant, or the power sums."""
+    return [
+        pin
+        for pin in PLETHYSM_PINS
+        if coefficients._by_determinant(pin[0], pin[1], len(pin[2])) is by_determinant
+    ]
+
+
 def test_plethysm_power_sum_computes_no_determinant(monkeypatch):
-    # up to three rows the oracle takes the power sums
+    # where the engine takes the determinant the oracle takes the power sums
     _break(
         monkeypatch,
         [
@@ -82,13 +95,12 @@ def test_plethysm_power_sum_computes_no_determinant(monkeypatch):
             (coefficients, "plethysm_coefficient"),
         ],
     )
-    for lam, mu, nu, c in PLETHYSM_PINS:
-        if len(nu) <= 3:
-            assert coefficients.plethysm_oracle(lam, mu, nu) == c, (lam, mu, nu)
+    for lam, mu, nu, c in _pins(True):
+        assert coefficients.plethysm_oracle(lam, mu, nu) == c, (lam, mu, nu)
 
 
 def test_plethysm_oracle_reads_no_characters(monkeypatch):
-    # past three rows the oracle expands the determinant
+    # where the engine takes the power sums the oracle expands the determinant
     _break(
         monkeypatch,
         [
@@ -99,9 +111,8 @@ def test_plethysm_oracle_reads_no_characters(monkeypatch):
         ],
     )
     coefficients._pleth_oracle_expansion.cache_clear()
-    for lam, mu, nu, c in PLETHYSM_PINS:
-        if len(nu) > 3:
-            assert coefficients.plethysm_oracle(lam, mu, nu) == c, (lam, mu, nu)
+    for lam, mu, nu, c in _pins(False):
+        assert coefficients.plethysm_oracle(lam, mu, nu) == c, (lam, mu, nu)
 
 
 def test_kostka_foulkes_oracle_takes_no_charge(monkeypatch):

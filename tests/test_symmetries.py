@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -840,6 +841,31 @@ def test_verify_rejects_unknown_rule_before_any_work(monkeypatch):
         verify_rule("nope", SMALL)
     with pytest.raises(ValueError, match="unknown rule 'nope'"):
         verify_all(SMALL, rules=("kf-box", "nope"))
+    assert swept == []
+
+
+@pytest.mark.parametrize("name", [["kron"], {}], ids=["list", "dict"])
+@pytest.mark.parametrize(
+    "kind, call",
+    [
+        ("family", lambda name: coefficient_of(name, ((1,), (1,), (2,)))),
+        ("family", lambda name: reduce_indices(name, ((1,), (1,), (2,)))),
+        ("family", lambda name: bench_reduction(name, ((1,), (1,), (2,)), repeats=1)),
+        ("rule", lambda name: verify_rule(name, SMALL)),
+        ("rule", lambda name: verify_all(SMALL, rules=("kf-box", name))),
+        ("rule", lambda name: apply_rule(name, ((1,), (1,), (2,)), l=1, m=1, n=2)),
+    ],
+    ids=[
+        "coefficient_of", "reduce_indices", "bench_reduction",
+        "verify_rule", "verify_all", "apply_rule",
+    ],
+)
+def test_entry_points_reject_unhashable_names(monkeypatch, kind, call, name):
+    # an unhashable name is an unknown one, worded as for any other name
+    swept = []
+    monkeypatch.setattr(symmetries, "_sweep_stride", lambda *a, **k: swept.append(a))
+    with pytest.raises(ValueError, match=f"^{re.escape(f'unknown {kind} {name!r}')}$"):
+        call(name)
     assert swept == []
 
 
