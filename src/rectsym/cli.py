@@ -125,7 +125,7 @@ def cmd_compute(args):
 
 def cmd_verify(args):
     rules = RULE_NAMES if args.rule == "all" else (args.rule,)
-    max_box = max(_parse_box_list(args.boxes)) if args.boxes else SweepBounds.max_box
+    max_box = SweepBounds.max_box if args.boxes is None else max(_parse_box_list(args.boxes))
     bounds = SweepBounds(
         max_weight=args.max_weight,
         max_box=max_box,

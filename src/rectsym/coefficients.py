@@ -7,7 +7,11 @@ can be played against each other:
   lr oracle  Racah-Speiser sum over the monomials of s_mu, each sorted against
              nu + delta (no polynomial product)
   kron       exact integer character sum over the classes of S_n, rows
-             and class sizes in powersum's one (lex-ascending) order
+             and class sizes in powersum's one (lex-ascending) order; a
+             batch of triples (a sweep's Kronecker misses, filled a block
+             at a time) is grouped by the pair of shapes most of them
+             share, and (n!/z_rho) chi^a chi^b is built once per pair and
+             dotted with each third row
   kron oracle  Garsia-Remmel sum: Jacobi-Trudi on s_lam in the h basis, each
                <h_alpha * s_mu, s_nu> a dynamic program over pairs of
                sub-partitions of (mu, nu) weighted by lattice-word LR counts
@@ -43,6 +47,7 @@ Kostka-Foulkes lives in hall_littlewood: charge, with the unitriangular
 solve of s_lam = sum K_(lam,rho)(t) P_rho in the Schur basis as its oracle.
 """
 
+from collections import Counter
 from functools import lru_cache
 from math import factorial
 from operator import add, lshift, mul
@@ -191,28 +196,65 @@ def _unpack_key(key, n):
 
 
 def kronecker_coefficient(lam, mu, nu, cache=None):
-    """Kronecker coefficient g(lam, mu, nu) = <chi^lam chi^mu chi^nu, 1>.
-
-    Computed as the integer sum over cycle types rho of
-    (n!/z_rho) chi^lam(rho) chi^mu(rho) chi^nu(rho), divided exactly by n!;
-    a remainder raises NonIntegralResult.  The sum runs over the classes in
-    lex-ascending order, the order in which the block recursion builds both
-    the character rows (read with _row) and the class sizes, and multiplies
-    each class size once, by the product of the three characters.  Each
-    index must be a partition (trailing zeros allowed), else ValueError.
-    """
-    lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
-    n = sum(lam)
-    if not (n == sum(mu) == sum(nu)):
+    """Kronecker coefficient g(lam, mu, nu) = <chi^lam chi^mu chi^nu, 1>:
+    0 when the weights differ, else the one-triple case of
+    _kronecker_class_sums, which streams the three-way product over the
+    classes for a lone triple.  cache is a CharCache.  Each index must be a
+    partition (trailing zeros allowed), else ValueError; a remainder in the
+    division by n! raises NonIntegralResult."""
+    triple = (to_partition(lam), to_partition(mu), to_partition(nu))
+    if not (sum(triple[0]) == sum(triple[1]) == sum(triple[2])):
         return 0
-    if cache is None:
-        cache = CharCache()
-    a, b, c = (_row(p, cache) for p in (lam, mu, nu))
-    total = sum(map(mul, _ascending_sizes(n, n), map(mul, a, map(mul, b, c))))
-    g, rem = divmod(total, factorial(n))
-    if rem:
-        raise NonIntegralResult(f"g{(lam, mu, nu)} = {total}/{n}! is not an integer")
-    return g
+    return _kronecker_class_sums([triple], CharCache() if cache is None else cache)[triple]
+
+
+def _kronecker_class_sums(triples, cache):
+    """{triple: g(triple)} over triples of partitions (not validated), the
+    three of each of one weight n.
+
+    Each g is the integer sum over cycle types rho of
+    (n!/z_rho) chi^a(rho) chi^b(rho) chi^c(rho), divided exactly by n!; a
+    remainder raises NonIntegralResult.  The sum runs over the classes in
+    lex-ascending order, the order in which the block recursion builds both
+    the character rows (read with _row from cache) and the class sizes.  g
+    is symmetric, so each triple is filed under the one of its three pairs
+    of shapes that the most triples share, and the other shape is its
+    third.  A pair with two or more triples builds (n!/z_rho) chi^a chi^b
+    once and dots it with each third row; a pair with one triple streams
+    the three-way product, multiplying each (large) class size once, by the
+    product of the three characters.
+    """
+    if len(triples) == 1:
+        # a lone triple shares no pair: file it under its first two shapes
+        groups = {triples[0][:2]: [(triples[0], triples[0][2])]}
+    else:
+        shared = Counter()
+        for a, b, c in triples:
+            shared.update({(a, b), (a, c), (b, c)})
+        groups = {}
+        for triple in triples:
+            a, b, c = triple
+            pair, third = max(
+                (((a, b), c), ((a, c), b), ((b, c), a)), key=lambda split: shared[split[0]]
+            )
+            groups.setdefault(pair, []).append((triple, third))
+    out = {}
+    for (a, b), members in groups.items():
+        n = sum(a)
+        sizes = _ascending_sizes(n, n)
+        row_a, row_b = _row(a, cache), _row(b, cache)
+        weighted = list(map(mul, sizes, map(mul, row_a, row_b))) if len(members) > 1 else None
+        for triple, third in members:
+            row_c = _row(third, cache)
+            if weighted is None:
+                total = sum(map(mul, sizes, map(mul, row_a, map(mul, row_b, row_c))))
+            else:
+                total = sum(map(mul, weighted, row_c))
+            g, rem = divmod(total, factorial(n))
+            if rem:
+                raise NonIntegralResult(f"g{triple} = {total}/{n}! is not an integer")
+            out[triple] = g
+    return out
 
 
 class _GarsiaRemmel:

@@ -38,10 +38,11 @@ report, and conjugates the winner's triple and applies the complement to it.
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from itertools import product
+from itertools import groupby, islice, product
 from math import inf
 
 from .coefficients import (
+    _kronecker_class_sums,
     kronecker_coefficient,
     kronecker_oracle,
     lr_coefficient,
@@ -362,11 +363,13 @@ class SweepContext:
     the expansion of s_lam[s_mu] per (lam, mu, n): where that predicate
     sends the key to the determinant, its Schur coefficients ({lam: 1} or
     {mu: 1} by a unit law, else from the Jacobi-Trudi determinant), and
-    elsewhere its power sum coefficients), and four value
-    memos, one per family.  kron is keyed by the sorted triple, lr and pleth
-    by the ordered triple (lam, mu, nu) and kf by the ordered pair
-    (lam, mu); no key uses any of the rules the sweeps check.  The keys
-    record every value a sweep read.
+    elsewhere its power sum coefficients), and four value memos, one per
+    family, keyed as _value reads them: kron by the sorted triple, lr by
+    (the heavier of lam and mu, the other, nu), pleth by the ordered triple
+    (lam, mu, nu) and kf by the ordered pair (lam, mu); no key uses any of
+    the rules the sweeps check.  The keys record every value a sweep read.
+    A sweep of a Kronecker rule fills kron a block at a time
+    (_kron_blocks); the other memos fill one miss at a time.
 
     coefficient_of validates its indices before it reads or writes these.
     The sweeps skip that step: they generate their instances as partitions
@@ -385,13 +388,24 @@ class SweepContext:
 
 def _value(family, indices, ctx):
     """Coefficient value of indices that are already partitions, through
-    ctx's memo of the family; a miss calls the family's engine.  The
-    Kronecker key is sorted: g is symmetric in its three arguments."""
+    ctx's memo of the family; a miss calls the family's engine on the
+    memo's key.  g is symmetric in its three arguments, so the Kronecker
+    key is the sorted triple; c^nu_(lam mu) = c^nu_(mu lam), so the LR key
+    puts the heavier of lam and mu first, where lr_coefficient takes it as
+    the inner shape and leaves the fewest cells to fill.  Neither symmetry
+    is one of the rules the sweeps check."""
     memo = getattr(ctx, family)
-    key = tuple(sorted(indices)) if family == "kron" else indices
+    key = indices
+    if family == "kron":
+        key = tuple(sorted(indices))
+    elif family == "lr":
+        lam, mu, nu = indices
+        a, b = sum(lam), sum(mu)
+        if a < b or (a == b and lam < mu):
+            key = (mu, lam, nu)
     value = memo.get(key)
     if value is None:
-        value = memo[key] = FAMILIES[family].engine(indices, ctx)
+        value = memo[key] = FAMILIES[family].engine(key, ctx)
     return value
 
 
@@ -531,19 +545,46 @@ def _check_one(rule, family, indices, params, image, report, ctx):
     return left == right
 
 
+def _kron_blocks(checks, ctx):
+    """checks, (i, indices, params, image) in enumeration order, passed on a
+    block at a time: a block is a run whose indices share their first two
+    partitions, where the images' shared pairs of shapes recur.  Before a
+    block is passed on, ctx.kron gets every key it reads that the memo
+    lacks, from one call to _kronecker_class_sums, looked up by name here at
+    call time."""
+    memo = ctx.kron
+    for _, block in groupby(checks, key=lambda check: check[1][:2]):
+        block = list(block)
+        missing = {}
+        for _, indices, _, image in block:
+            for triple in (indices, image):
+                if triple is not None:
+                    key = tuple(sorted(triple))  # the memo's key, as in _value
+                    if key not in memo:
+                        missing[key] = None
+        if missing:
+            memo.update(_kronecker_class_sums(list(missing), ctx.chars))
+        yield from block
+
+
 def _sweep_stride(rule, bounds, start, step, ctx=None):
     """Check every step-th in-bounds instance beginning at start.  Used both
     for the serial sweep (0, 1) and as the worker of the parallel one.
+    Every value is read through _value in enumeration order; a Kronecker
+    rule's misses are filled a block at a time first (_kron_blocks).
     Returns the report and the enumeration index of each counterexample."""
     if ctx is None:
         ctx = SweepContext()
     family = FAMILY_OF[rule]
     report = RuleReport(rule)
     found = []
-    for i, (indices, params) in enumerate(_instances(rule, bounds)):
-        if i % step != start:
-            continue
-        image = _apply(rule, indices, params)
+    checks = (
+        (i, indices, params, _apply(rule, indices, params))
+        for i, (indices, params) in islice(enumerate(_instances(rule, bounds)), start, None, step)
+    )
+    if family == "kron":
+        checks = _kron_blocks(checks, ctx)
+    for i, indices, params, image in checks:
         if family == "pleth" and image is not None and sum(image[2]) > bounds.max_image_weight:
             report.skipped += 1
             continue

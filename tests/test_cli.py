@@ -192,8 +192,14 @@ def _skew(monkeypatch, engine):
 
 @pytest.fixture
 def weight_skewed_kronecker(monkeypatch):
-    """The Kronecker engine, off by the weight of its instance."""
-    _skew(monkeypatch, "kronecker_coefficient")
+    """The sweep's Kronecker values, symmetries._kronecker_class_sums by
+    name, each off by the weight of its instance."""
+    real = symmetries._kronecker_class_sums
+    monkeypatch.setattr(
+        symmetries,
+        "_kronecker_class_sums",
+        lambda triples, cache: {t: g + sum(t[0]) for t, g in real(triples, cache).items()},
+    )
 
 
 _REDUCIBLE = ["--lambda", "2,2,2", "--mu", "2,2,2", "--nu", "6"]
@@ -301,6 +307,16 @@ def test_verify_text(capsys):
     assert "kf-box" in out
     assert "ok:" in out
     assert "0 counterexamples" in out
+
+
+@pytest.mark.parametrize("boxes", ["", "1,,2"], ids=["empty", "empty-entry"])
+def test_verify_rejects_a_bad_box_list(capsys, boxes):
+    # the empty list is refused like any other malformed one, not read as
+    # the default box bound; a refused run prints no header
+    code, out, err = run(capsys, "verify", "kf-box", "--max-weight", "2", "--boxes", boxes)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"bad box list: {boxes!r}" in err
 
 
 def test_verify_all_small(capsys):

@@ -151,6 +151,43 @@ def test_kronecker_non_integral_sum_raises():
         kronecker_coefficient((2, 1), (2, 1), (2, 1), cache)
 
 
+def test_grouped_kronecker_non_integral_sum_raises():
+    # (2,1),(2,1) is the pair both triples share, so their class sums are
+    # one weighted row dotted with each third row; doctor chi^(3) at the
+    # class (3), which only the first triple's third row reads
+    cache = CharCache()
+    row = _ascending(_mask((3,)), 3, 3, cache.strip)
+    row[-1] += 1
+    triples = [((2, 1), (2, 1), (3,)), ((1, 1, 1), (2, 1), (2, 1))]
+    with pytest.raises(NonIntegralResult, match=r"g\(\(2, 1\), \(2, 1\), \(3,\)\)"):
+        coefficients._kronecker_class_sums(triples, cache)
+    assert coefficients._kronecker_class_sums(triples[1:], cache) == {triples[1]: 1}
+
+
+def test_grouped_kronecker_matches_single_calls():
+    # triples of weight 5, sorted or not, in one batch, against one call per
+    # triple on a cache of its own
+    triples = [t for t in itertools.product(partitions_of(5), repeat=3) if t[0] <= t[2]]
+    grouped = coefficients._kronecker_class_sums(triples, CharCache())
+    assert set(grouped) == set(triples)
+    cache = CharCache()
+    for t in triples:
+        assert grouped[t] == kronecker_coefficient(*t, cache), t
+
+
+@pytest.mark.parametrize("rule", ["kron-translate", "kron-box"])
+def test_sweep_kronecker_memo_matches_single_calls(rule):
+    # the sweep fills its Kronecker memo a block at a time through the
+    # grouped class sums; each value must equal the one-triple call on a
+    # cache the sweep never saw
+    ctx = SweepContext()
+    assert verify_rule(rule, SweepBounds(), ctx=ctx).ok
+    assert ctx.kron
+    cache = CharCache()
+    for key, g in ctx.kron.items():
+        assert g == kronecker_coefficient(*key, cache), key
+
+
 def test_warm_kronecker_call_computes_no_bead_mask(monkeypatch):
     # the second call reads its three rows from cache.rows by partition
     cache = CharCache()

@@ -347,22 +347,24 @@ def test_tableau_count_matches_count_ssyt_and_ratio():
 def test_value_calls_each_engine_once_per_key(monkeypatch):
     # one rule per family through one context: every engine call is a memo
     # miss, and the memo's keys are exactly the values the sweep read
+    # (a Kronecker sweep fills its misses a block at a time, each block in
+    # one call to _kronecker_class_sums, so keys lists every key a call computes)
     calls = {}
 
-    def counted(family, name, key):
+    def counted(family, name, keys):
         engine = getattr(symmetries, name)
         seen = calls[family] = []
 
         def wrapper(*args):
-            seen.append(key(args))
+            seen.extend(keys(args))
             return engine(*args)
 
         monkeypatch.setattr(symmetries, name, wrapper)
 
-    counted("lr", "lr_coefficient", lambda args: args)
-    counted("kron", "kronecker_coefficient", lambda args: tuple(sorted(args[:3])))
-    counted("pleth", "plethysm_coefficient", lambda args: args[:3])
-    counted("kf", "kostka_foulkes", lambda args: args)
+    counted("lr", "lr_coefficient", lambda args: [args])
+    counted("kron", "_kronecker_class_sums", lambda args: args[0])
+    counted("pleth", "plethysm_coefficient", lambda args: [args[:3]])
+    counted("kf", "kostka_foulkes", lambda args: [args])
     ctx = SweepContext()
     for rule in ("lr-box", "kron-translate", "pleth-box-outer", "kf-translate"):
         assert verify_rule(rule, SMALL, ctx).ok
@@ -424,9 +426,11 @@ def test_verify_parallel_matches_serial():
     assert serial.counterexamples == parallel.counterexamples
 
 
-def test_verify_parallel_counterexamples_in_serial_order(monkeypatch):
+@pytest.mark.parametrize("rule", ["kron-box", "kron-translate"])
+def test_verify_parallel_counterexamples_in_serial_order(monkeypatch, rule):
     # a faulty Kronecker value for one-row lam breaks the rule on instances
-    # that both workers of the forked pool see
+    # that both workers of the forked pool see; each worker forms its own
+    # blocks of the instances it checks
     real = symmetries._value
 
     def faulty(family, indices, ctx):
@@ -434,8 +438,8 @@ def test_verify_parallel_counterexamples_in_serial_order(monkeypatch):
         return value + 1 if len(indices[0]) == 1 else value
 
     monkeypatch.setattr(symmetries, "_value", faulty)
-    serial = verify_rule("kron-box", SMALL).as_dict(with_timing=False)
-    parallel = verify_rule("kron-box", SMALL, jobs=2).as_dict(with_timing=False)
+    serial = verify_rule(rule, SMALL).as_dict(with_timing=False)
+    parallel = verify_rule(rule, SMALL, jobs=2).as_dict(with_timing=False)
     assert len(serial["counterexamples"]) >= 2
     assert json.dumps(parallel) == json.dumps(serial)
 
