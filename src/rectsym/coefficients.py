@@ -14,7 +14,8 @@ can be played against each other:
              dotted with each third row
   kron oracle  Garsia-Remmel sum: Jacobi-Trudi on s_lam in the h basis, each
                <h_alpha * s_mu, s_nu> a dynamic program over pairs of
-               sub-partitions of (mu, nu) weighted by lattice-word LR counts
+               sub-partitions of (mu, nu) weighted by lattice-word LR counts,
+               its memos kept for the last nu only
   pleth      s_lam[s_mu] by one of two routes, chosen by _by_determinant
              from the key (lam, mu, length(nu)).  Every nu of up to
              POLY_MAX_ARITY rows, and longer nu past weight 48, or past 18
@@ -57,7 +58,6 @@ from .partitions import (
     conjugate,
     contains,
     partitions_of,
-    to_count,
     to_partition,
     zero_pad,
 )
@@ -75,10 +75,6 @@ from .schur import (
     schur_poly_of_partition,
     sort_with_sign,
 )
-
-
-class ArityTooSmall(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +265,8 @@ class _GarsiaRemmel:
     is built one part at a time over pairs (mu' <= mu, nu' <= nu): a part a
     moves (mu', nu') to (mu'', nu'') with weight sum_(beta |- a)
     c^mu''_(mu' beta) c^nu''_(nu' beta), each count from lr_coefficient.
-    The memos live as long as the instance: one oracle call or one table
-    fill.
+    The memos live as long as the instance, which _garsia_remmel keeps
+    until the oracle is called at another nu.
     """
 
     def __init__(self, nu):
@@ -359,48 +355,21 @@ def _subpartitions(outer, size):
     )
 
 
-def kronecker_oracle_table(nu, l, m, cache=None):
-    """Nonzero Kronecker coefficients g(lam, mu, nu) over lam with at most l
-    rows and mu with at most m rows, keyed (lam, mu).
-
-    Each value is the Garsia-Remmel sum of _GarsiaRemmel, from LR counts
-    with memos shared by the whole table; l and m only bound the rows, and
-    the table is empty when length(nu) > l*m.  l and m are counts
-    (to_count), else ValueError.  No character is read, so cache (kept for
-    callers that share one with the engine) goes unused.
-    """
-    nu = to_partition(nu)
-    l, m = to_count(l, "l"), to_count(m, "m")
-    if len(nu) > l * m:
-        return {}
-    n = sum(nu)
-    oracle = _GarsiaRemmel(nu)
-    out = {}
-    for lam in partitions_of(n, l):
-        for mu in partitions_of(n, m):
-            g = oracle(lam, mu)
-            if g:
-                out[(lam, mu)] = g
-    return out
+@lru_cache(maxsize=1)
+def _garsia_remmel(nu):
+    """The _GarsiaRemmel of nu, kept until the next nu: a loop over Kronecker
+    triples that walks nu outermost shares its memos across (lam, mu)."""
+    return _GarsiaRemmel(nu)
 
 
-def kronecker_oracle(lam, mu, nu, l, m, cache=None, table=None):
-    """Kronecker coefficient by the Garsia-Remmel sum from LR counts, or
-    read from a kronecker_oracle_table of nu when table is given.  l and m
-    only bound the rows of lam and mu (ArityTooSmall past them) and must be
-    counts (to_count); cache is accepted and unused.  Each index must be a
+def kronecker_oracle(lam, mu, nu):
+    """Kronecker coefficient by the Garsia-Remmel sum from LR counts
+    (_GarsiaRemmel, the one of the last nu kept).  Each index must be a
     partition (trailing zeros allowed), else ValueError."""
     lam, mu, nu = to_partition(lam), to_partition(mu), to_partition(nu)
-    l, m = to_count(l, "l"), to_count(m, "m")
     if not (sum(lam) == sum(mu) == sum(nu)):
         return 0
-    if len(lam) > l:
-        raise ArityTooSmall(f"need l >= {len(lam)} for {lam}")
-    if len(mu) > m:
-        raise ArityTooSmall(f"need m >= {len(mu)} for {mu}")
-    if table is not None:
-        return table.get((lam, mu), 0)
-    return _GarsiaRemmel(nu)(lam, mu)
+    return _garsia_remmel(nu)(lam, mu)
 
 
 # ---------------------------------------------------------------------------

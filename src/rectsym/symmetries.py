@@ -822,9 +822,7 @@ FAMILIES = {
     ),
     "kron": Family(
         "kronecker", 3, lambda indices, ctx: kronecker_coefficient(*indices, ctx.chars),
-        lambda indices: kronecker_oracle(
-            *indices, max(1, len(indices[0])), max(1, len(indices[1]))
-        ),
+        lambda indices: kronecker_oracle(*indices),
         _same_weight_triples, reduce_kronecker,
     ),
     "pleth": Family(
@@ -891,10 +889,13 @@ def _timed(compute, repeats):
 def bench_reduction(family, indices, repeats=3):
     """Median wall time of the naive computation versus plan-then-compute.
 
-    Fresh caches for every run, so the comparison is between cold paths.  The
-    two values must agree; a reduction that changed the answer would be a bug,
-    not a speedup, and raises immediately.  repeats must be at least 1, else
-    ValueError.
+    Every run gets a fresh SweepContext, so no value or character row is
+    carried from one run to the next.  The process-wide lru caches
+    (partitions, class sizes, Schur polynomials, tableau counts) are not
+    cleared: a run reads warm whatever an earlier run, naive or reduced,
+    put there.  The two values must agree; a reduction that changed the
+    answer would be a bug, not a speedup, and raises immediately.  repeats
+    must be at least 1, else ValueError.
     """
     repeats = to_count(repeats, "repeats")
     if repeats < 1:

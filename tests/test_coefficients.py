@@ -9,12 +9,10 @@ from rectsym import coefficients, partitions, powersum
 from rectsym.coefficients import (
     PACK_BITS,
     POLY_MAX_ARITY,
-    ArityTooSmall,
     _pack,
     _unpack_key,
     kronecker_coefficient,
     kronecker_oracle,
-    kronecker_oracle_table,
     lr_coefficient,
     lr_coefficient_oracle,
     plethysm_coefficient,
@@ -222,43 +220,27 @@ def test_kronecker_rejects_malformed_indices():
     assert kronecker_coefficient((2, 1, 0), (2, 1), (3, 0)) == 1
 
 
-def test_kronecker_against_bialphabet_oracle():
-    cache = CharCache()
-    for w in range(5):
-        box = max(w, 1)
-        for nu in partitions_of(w):
-            table = kronecker_oracle_table(nu, box, box, cache)
-            for lam in partitions_of(w):
-                for mu in partitions_of(w):
-                    got = kronecker_oracle(lam, mu, nu, box, box, cache, table)
-                    assert got == kronecker_coefficient(lam, mu, nu, cache), (
-                        lam,
-                        mu,
-                        nu,
-                    )
-
-
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_kronecker_matches_garsia_remmel_oracle_past_criterion_2(data):
-    # weight up to 12; the oracle computes the one triple, with no table
+    # weight up to 12, one triple at a time
     w = data.draw(st.integers(0, 12))
     lam, mu, nu = (data.draw(st.sampled_from(partitions_of(w))) for _ in range(3))
-    got = kronecker_oracle(lam, mu, nu, len(lam), len(mu))
+    got = kronecker_oracle(lam, mu, nu)
     assert got == kronecker_coefficient(lam, mu, nu)
 
 
 @pytest.mark.parametrize("w", [12, 14])
 def test_kronecker_matches_oracle_table_in_overlap_band(w):
     # every triple with lam of at most 2 rows and mu, nu of at most 3, at
-    # weights above criterion 2's 7 where the oracle tables still fill fast
+    # weights above criterion 2's 7 where the oracle is still fast; nu walks
+    # outermost, so the oracle's memos serve each (lam, mu) at it
     cache = CharCache()
     for nu in partitions_of(w, 3):
-        table = kronecker_oracle_table(nu, 2, 3)
         for lam in partitions_of(w, 2):
             for mu in partitions_of(w, 3):
                 got = kronecker_coefficient(lam, mu, nu, cache)
-                assert got == table.get((lam, mu), 0), (lam, mu, nu)
+                assert got == kronecker_oracle(lam, mu, nu), (lam, mu, nu)
 
 
 def test_kronecker_enumerates_no_partitions(monkeypatch):
@@ -270,7 +252,7 @@ def test_kronecker_enumerates_no_partitions(monkeypatch):
 
     cases = [((4,) * 5, (4,) * 5, (4,) * 5, 6), ((6,) * 5, (10,) * 3, (5,) * 6, 5)]
     for lam, mu, nu, g in cases:
-        assert kronecker_oracle(mu, lam, nu, len(mu), len(lam)) == g
+        assert kronecker_oracle(mu, lam, nu) == g
     for module in (partitions, powersum, coefficients):
         monkeypatch.setattr(module, "partitions_of", enumerate_partitions, raising=False)
     powersum._size_memo.cache_clear()
@@ -278,43 +260,53 @@ def test_kronecker_enumerates_no_partitions(monkeypatch):
         assert kronecker_coefficient(lam, mu, nu) == g
 
 
-@pytest.mark.parametrize("l,m", [(2, 3), (3, 2), (1, 4)])
-def test_kronecker_oracle_table_unequal_alphabets(l, m):
-    # exactly the engine's nonzero values on lam with <= l rows and mu with
-    # <= m rows, and nothing at all when nu has more than l*m rows
-    cache = CharCache()
-    for w in range(6):
-        for nu in partitions_of(w):
-            table = kronecker_oracle_table(nu, l, m, cache)
-            if len(nu) > l * m:
-                assert table == {}, nu
-                continue
-            expect = {}
-            for lam in partitions_of(w, l):
-                for mu in partitions_of(w, m):
-                    g = kronecker_coefficient(lam, mu, nu, cache)
-                    if g:
-                        expect[(lam, mu)] = g
-            assert table == expect, nu
-
-
-def test_kronecker_oracle_arity_guard():
-    try:
-        kronecker_oracle((1, 1), (2,), (2,), 1, 2)
-    except ArityTooSmall:
-        pass
-    else:
-        assert False, "expected ArityTooSmall"
-
-
 def test_kronecker_oracle_strips_trailing_zeros():
-    # the oracle table is keyed by stripped partitions; g((2),(2),(2)) = 1
-    assert kronecker_oracle((2, 0), (2,), (2,), 2, 2) == 1
+    # the oracle's memos are keyed by stripped partitions; g((2),(2),(2)) = 1
+    assert kronecker_oracle((2, 0), (2,), (2,)) == 1
 
 
 def test_kronecker_oracle_rejects_malformed_indices():
     with pytest.raises(ValueError):
-        kronecker_oracle((2, 1), (2, 1), (1, 2), 2, 2)
+        kronecker_oracle((2, 1), (2, 1), (1, 2))
+
+
+def test_kronecker_oracle_builds_one_garsia_remmel_per_nu(monkeypatch):
+    # a loop that walks nu outermost builds the sum's memos once per nu and
+    # shares them across every (lam, mu) at it
+    built = []
+
+    class Counted(coefficients._GarsiaRemmel):
+        def __init__(self, nu):
+            built.append(nu)
+            super().__init__(nu)
+
+    monkeypatch.setattr(coefficients, "_GarsiaRemmel", Counted)
+    coefficients._garsia_remmel.cache_clear()
+    walked = []
+    for w in range(6):
+        for nu in partitions_of(w):
+            walked.append(nu)
+            for lam in partitions_of(w):
+                for mu in partitions_of(w):
+                    kronecker_oracle(lam, mu, nu)
+    assert built == walked
+    coefficients._garsia_remmel.cache_clear()
+
+
+def test_kronecker_oracle_counts_afresh_once_its_memos_are_cleared(monkeypatch):
+    # the memos kept for nu answer a repeated call without an LR count, so a
+    # test that breaks a step of the sum clears _garsia_remmel before calling
+    def broken(*args):
+        raise AssertionError("lr_coefficient called")
+
+    coefficients._garsia_remmel.cache_clear()
+    assert kronecker_oracle((2, 1), (2, 1), (2, 1)) == 1
+    monkeypatch.setattr(coefficients, "lr_coefficient", broken)
+    assert kronecker_oracle((2, 1), (2, 1), (2, 1)) == 1
+    coefficients._garsia_remmel.cache_clear()
+    with pytest.raises(AssertionError, match="lr_coefficient called"):
+        kronecker_oracle((2, 1), (2, 1), (2, 1))
+    coefficients._garsia_remmel.cache_clear()
 
 
 def test_plethysm_symmetric_square_of_vector_forms():
