@@ -117,18 +117,31 @@ def complement(seq, k, n):
     return tuple(k - a for a in reversed(padded))
 
 
+def box_complement(p, k, n):
+    """The complement of partition p (not validated) in the k x n box, as a
+    partition, or None when p does not fit in the box.
+
+    The complement's first n - len(p) rows are k wide; the rest are k - p_i
+    for p's rows read upwards, dropping the rows p fills (p_i == k), which
+    are the complement's trailing zeros."""
+    if len(p) > n or (p and p[0] > k):  # fits_in_box, inline on the planners' path
+        return None
+    if not k:
+        return ()  # only the empty partition fits a box of width 0
+    return (k,) * (n - len(p)) + tuple(map(k.__sub__, reversed(p[p.count(k):])))
+
+
 def box_complements(*boxes):
     """The complement of each (p, k, n) in boxes, p a partition (not
-    validated), in its k x n box, when every p fits in its box; else None.
-    Every fit is tested before any complement is built."""
-    for p, k, n in boxes:
-        if not fits_in_box(p, k, n):
+    validated), in its k x n box, when every p fits in its box; else None,
+    as soon as one does not."""
+    out = []
+    for box in boxes:
+        part = box_complement(*box)
+        if part is None:
             return None
-    # the parts equal to k are the complement's trailing zeros
-    return tuple(
-        tuple(k - a for a in reversed(p + (0,) * (n - len(p))) if a != k)
-        for p, k, n in boxes
-    )
+        out.append(part)
+    return tuple(out)
 
 
 def complement_partition(p, k, n):
@@ -250,15 +263,18 @@ def iter_ssyt(shape, n, content=None):
     """Yield semistandard tableaux of the given shape, entries in 1..n.
 
     Tableaux come out as tuples of row tuples.  If content is given, only
-    tableaux with exactly content[v-1] copies of v are produced.  n must be
-    a nonnegative integer, else ValueError (raised when iteration starts).
+    tableaux with exactly content[v-1] copies of v are produced: none when
+    content does not sum to |shape| or asks for a v past n.  n must be a
+    nonnegative integer, else ValueError (raised when iteration starts).
     """
     n = to_count(n, "number of entries")
+    if content is not None and (sum(content) != sum(shape) or any(content[n:])):
+        return
     if not shape:
         yield ()
         return
     rows = len(shape)
-    remaining = list(content) + [0] * (n - len(content)) if content is not None else None
+    remaining = list(content[:n]) + [0] * (n - len(content)) if content is not None else None
     tab = [[0] * shape[i] for i in range(rows)]
 
     cells = [(i, j) for i in range(rows) for j in range(shape[i])]

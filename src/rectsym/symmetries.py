@@ -28,6 +28,11 @@ Rule names and what they transform:
   kf-box(k, n)                 K(lam, mu): both complemented in k x n
   kf-translate(n, k)           both translated by (k^n)
 
+A sweep (verify_rule) walks each in-bounds index tuple once: its floors
+and its parameter grid, plain tuples in nesting order, are read once, its
+own value at most once, and each image is assembled from complements and
+translations of single partitions, memoised for the life of the sweep.
+
 Every family is declared once, in FAMILIES.  Weight reduction has one
 planning tail, _plan.  A family plans by listing its conjugation-plus-
 complement candidates, scored from first parts and lengths, and naming its
@@ -38,8 +43,10 @@ report, and conjugates the winner's triple and applies the complement to it.
 import os
 import time
 from dataclasses import asdict, dataclass, field
-from itertools import groupby, islice, product
+from functools import lru_cache
+from itertools import groupby, product
 from math import inf
+from typing import NamedTuple
 
 from .coefficients import (
     _kronecker_class_sums,
@@ -53,7 +60,7 @@ from .coefficients import (
 from .hall_littlewood import kostka_foulkes, kostka_foulkes_oracle
 from .partitions import (
     _tableau_count,
-    box_complements,
+    box_complement,
     conjugate,
     partitions_of,
     to_count,
@@ -147,87 +154,138 @@ def _shift_floor(p, rows):
 # ---------------------------------------------------------------------------
 # the rules
 #
-# An applier gets partitions and parameters at or above their floors, runs
-# the rule's containment test and returns the image tuple, or None when the
+# An applier gets partitions, then the rule's parameters at or above their
+# floors, positionally in sweep nesting order (the floors' order, then k) or
+# by name, and last the components to assemble the image from.  It runs the
+# rule's containment test and returns the image tuple, or None when the
 # coefficient is zero.
 
 
-def _lr_box(indices, l, m, n):
+class _Components(NamedTuple):
+    """The single partitions a rule image is assembled from:
+    complement(p, k, n) is p's complement in the k x n box and
+    translate(p, k, n) is p + (k^n), each None where it is not a partition.
+    A sweep memoises both for its own life (_memoised); a single
+    application computes them (_COMPUTED)."""
+
+    complement: object
+    translate: object
+
+
+_COMPUTED = _Components(box_complement, translated_partition)
+
+
+def _memoised():
+    """Components memoised for as long as the caller keeps them, since a
+    sweep's index tuples share their partitions."""
+    memo = lru_cache(maxsize=None)
+    return _Components(memo(box_complement), memo(translated_partition))
+
+
+def _lr_box(indices, n, l, m, parts=_COMPUTED):
     lam, mu, nu = indices
-    return box_complements((lam, l, n), (mu, m, n), (nu, l + m, n))
+    c = parts.complement
+    if (
+        (lam_c := c(lam, l, n)) is None
+        or (mu_c := c(mu, m, n)) is None
+        or (nu_c := c(nu, l + m, n)) is None
+    ):
+        return None
+    return (lam_c, mu_c, nu_c)
 
 
-def _lr_translate(indices, n, k):
+def _lr_translate(indices, n, k, parts=_COMPUTED):
     lam, mu, nu = indices
-    nu_t = translated_partition(nu, k, n)
-    if len(lam) <= n and nu_t is not None:
-        return (translated_partition(lam, k, n), mu, nu_t)
-    return None
+    if len(lam) > n:
+        return None
+    t = parts.translate
+    nu_t = t(nu, k, n)
+    return None if nu_t is None else (t(lam, k, n), mu, nu_t)
 
 
-def _kron_box(indices, l, m, n):
+def _kron_box(indices, l, m, n, parts=_COMPUTED):
     lam, mu, nu = indices
-    return box_complements((lam, l, m * n), (mu, m, l * n), (nu, n, l * m))
+    c = parts.complement
+    if (
+        (lam_c := c(lam, l, m * n)) is None
+        or (mu_c := c(mu, m, l * n)) is None
+        or (nu_c := c(nu, n, l * m)) is None
+    ):
+        return None
+    return (lam_c, mu_c, nu_c)
 
 
-def _kron_translate(indices, l, m, k):
+def _kron_translate(indices, l, m, k, parts=_COMPUTED):
     lam, mu, nu = indices
-    lam_t = translated_partition(lam, k * m, l)
-    mu_t = translated_partition(mu, k * l, m)
-    if len(nu) <= l * m and lam_t is not None and mu_t is not None:
-        return (lam_t, mu_t, translated_partition(nu, k, l * m))
-    return None
+    if len(nu) > l * m:
+        return None
+    t = parts.translate
+    lam_t = t(lam, k * m, l)
+    mu_t = t(mu, k * l, m)
+    if lam_t is None or mu_t is None:
+        return None
+    return (lam_t, mu_t, t(nu, k, l * m))
 
 
-def _pleth_box_inner(indices, m, n):
+def _pleth_box_inner(indices, n, m, parts=_COMPUTED):
     lam, mu, nu = indices
-    image = box_complements((mu, m, n), (nu, m * sum(lam), n))
-    return None if image is None else (lam, *image)
+    c = parts.complement
+    if (mu_c := c(mu, m, n)) is None or (nu_c := c(nu, m * sum(lam), n)) is None:
+        return None
+    return (lam, mu_c, nu_c)
 
 
-def _pleth_translate_inner(indices, n, k):
+def _pleth_translate_inner(indices, n, k, parts=_COMPUTED):
     lam, mu, nu = indices
-    nu_t = translated_partition(nu, k * sum(lam), n)
-    if nu_t is not None:
-        return (lam, translated_partition(mu, k, n), nu_t)
-    return None
+    t = parts.translate
+    nu_t = t(nu, k * sum(lam), n)
+    return None if nu_t is None else (lam, t(mu, k, n), nu_t)
 
 
-def _pleth_box_outer(indices, l, n):
+def _pleth_box_outer(indices, n, l, parts=_COMPUTED):
     lam, mu, nu = indices
     r, q = _tableau_count(mu, n)
-    image = box_complements((lam, l, r), (nu, q * l, n))
-    return None if image is None else (image[0], mu, image[1])
+    c = parts.complement
+    if (lam_c := c(lam, l, r)) is None or (nu_c := c(nu, q * l, n)) is None:
+        return None
+    return (lam_c, mu, nu_c)
 
 
-def _pleth_translate_outer(indices, n, k):
+def _pleth_translate_outer(indices, n, k, parts=_COMPUTED):
     lam, mu, nu = indices
     r, q = _tableau_count(mu, n)
-    nu_t = translated_partition(nu, q * k, n)
-    if len(lam) <= r and nu_t is not None:
-        return (translated_partition(lam, k, r), mu, nu_t)
-    return None
+    if len(lam) > r:
+        return None
+    t = parts.translate
+    nu_t = t(nu, q * k, n)
+    return None if nu_t is None else (t(lam, k, r), mu, nu_t)
 
 
-def _kf_box(indices, k, n):
+def _kf_box(indices, n, k, parts=_COMPUTED):
     lam, mu = indices
-    return box_complements((lam, k, n), (mu, k, n))
+    c = parts.complement
+    if (lam_c := c(lam, k, n)) is None or (mu_c := c(mu, k, n)) is None:
+        return None
+    return (lam_c, mu_c)
 
 
-def _kf_translate(indices, n, k):
+def _kf_translate(indices, n, k, parts=_COMPUTED):
     lam, mu = indices
-    mu_t = translated_partition(mu, k, n)
-    if len(lam) <= n and mu_t is not None:
-        return (translated_partition(lam, k, n), mu_t)
-    return None
+    if len(lam) > n:
+        return None
+    t = parts.translate
+    mu_t = t(mu, k, n)
+    return None if mu_t is None else (t(lam, k, n), mu_t)
 
 
 @dataclass(frozen=True)
 class Rule:
     """One rule, declared once; every hypothesis is a lower bound on a
-    parameter.  params: the parameter names in --box order.  floors(*indices):
-    each box dimension's and row count's floor by name, in sweep nesting
-    order.  shift(*indices, **floored): a translation rule's floor of k."""
+    parameter.  params: the parameter names in --box order.  image: the
+    applier.  floors(*indices): each box dimension's and row count's floor
+    by name, in sweep nesting order.  shift(*indices, *floored): a
+    translation rule's floor of k, the floored parameters given in nesting
+    order or by name."""
 
     params: tuple
     image: object
@@ -494,70 +552,71 @@ def _same_weight_pairs(max_weight):
                 yield lam, mu
 
 
+def _walk(spec, family, bounds):
+    """Yield (indices, grid) for every index tuple of the family, in
+    enumeration order: grid lists the rule's in-bounds parameter values at
+    those indices, each a tuple in nesting order (each floored parameter
+    from its floor to max_box, nested in floors order, then k from
+    max(-max_k, its floor) to max_k), and is empty when none is in bounds.
+    Each tuple's floors are read once; every instance meets the rule's
+    hypotheses."""
+    top, kk = bounds.max_box, bounds.max_k
+    floors, shift = spec.floors, spec.shift
+    for indices in FAMILIES[family].index_tuples(bounds.max_weight):
+        grid = product(*(range(floor, top + 1) for floor in floors(*indices).values()))
+        if shift is None:
+            yield indices, list(grid)
+        else:
+            yield indices, [
+                (*values, k)
+                for values in grid
+                for k in range(max(-kk, shift(*indices, *values)), kk + 1)
+            ]
+
+
 def _instances(rule, bounds):
     """Yield (indices, params) for every instance of the rule inside the
-    bounds: each floored parameter from its floor to max_box, nested in
-    floors order, then k from max(-max_k, its floor) to max_k.  Every one
-    meets the rule's hypotheses."""
+    bounds, in the order a sweep checks them: _walk's grids, each value
+    named (params by name, in nesting order)."""
     spec = RULES[rule]
-    top, kk = bounds.max_box, bounds.max_k
-    for indices in FAMILIES[FAMILY_OF[rule]].index_tuples(bounds.max_weight):
-        floors = spec.floors(*indices)
-        names = tuple(floors)
-        for values in product(*(range(floor, top + 1) for floor in floors.values())):
-            params = dict(zip(names, values))
-            if spec.shift is None:
-                yield indices, params
-                continue
-            for k in range(max(-kk, spec.shift(*indices, **params)), kk + 1):
-                yield indices, {**params, "k": k}
+    for indices, grid in _walk(spec, FAMILY_OF[rule], bounds):
+        names = (*spec.floors(*indices), "k")  # zip drops k on a box rule
+        for values in grid:
+            yield indices, dict(zip(names, values))
 
 
 def _json_value(value):
     return value if isinstance(value, int) else str(value)
 
 
-def _check_one(rule, family, indices, params, image, report, ctx):
-    """Check one instance, whose image under the rule is image, into report;
-    False when it is a counterexample.  _instances builds indices from
-    partitions_of and params from their floors, so neither is validated
-    again here."""
-    left = _value(family, indices, ctx)
-    if image is None:
-        report.vanished += 1
-        right = 0
-    else:
-        report.transformed += 1
-        right = _value(family, image, ctx)
-    report.checked += 1
-    if left != right:
-        report.counterexamples.append(
-            {
-                "rule": rule,
-                "indices": [list(p) for p in indices],
-                "params": {name: params[name] for name in RULES[rule].params},
-                "verdict": "vanishes" if image is None else "transformed",
-                "image": None if image is None else [list(p) for p in image],
-                "original_value": _json_value(left),
-                "image_value": _json_value(right),
-            }
-        )
-    return left == right
+def _counterexample(rule, spec, indices, values, image, left, right):
+    """The report entry of an instance whose two values differ; values in
+    nesting order, listed as params in the rule's own order."""
+    named = dict(zip((*spec.floors(*indices), "k"), values))
+    return {
+        "rule": rule,
+        "indices": [list(p) for p in indices],
+        "params": {name: named[name] for name in spec.params},
+        "verdict": "vanishes" if image is None else "transformed",
+        "image": None if image is None else [list(p) for p in image],
+        "original_value": _json_value(left),
+        "image_value": _json_value(right),
+    }
 
 
 def _kron_blocks(checks, ctx):
-    """checks, (i, indices, params, image) in enumeration order, passed on a
-    block at a time: a block is a run whose indices share their first two
-    partitions, where the images' shared pairs of shapes recur.  Before a
-    block is passed on, ctx.kron gets every key it reads that the memo
-    lacks, from one call to _kronecker_class_sums, looked up by name here at
-    call time."""
+    """checks, (i, indices, grid, images) per index tuple in enumeration
+    order, passed on a block at a time: a block is a run of index tuples
+    that share their first two partitions, where the images' shared pairs
+    of shapes recur.  Before a block is passed on, ctx.kron gets every key
+    it reads that the memo lacks, from one call to _kronecker_class_sums,
+    looked up by name here at call time."""
     memo = ctx.kron
     for _, block in groupby(checks, key=lambda check: check[1][:2]):
         block = list(block)
         missing = {}
-        for _, indices, _, image in block:
-            for triple in (indices, image):
+        for _, indices, _, images in block:
+            for triple in (indices, *images):
                 if triple is not None:
                     key = tuple(sorted(triple))  # the memo's key, as in _value
                     if key not in memo:
@@ -570,26 +629,61 @@ def _kron_blocks(checks, ctx):
 def _sweep_stride(rule, bounds, start, step, ctx=None):
     """Check every step-th in-bounds instance beginning at start.  Used both
     for the serial sweep (0, 1) and as the worker of the parallel one.
-    Every value is read through _value in enumeration order; a Kronecker
-    rule's misses are filled a block at a time first (_kron_blocks).
-    Returns the report and the enumeration index of each counterexample."""
+
+    The rule is read from RULES when the stride starts.  Each index tuple is
+    walked once (_walk): its images come from one component memo that lives
+    as long as the stride, its own value is read once, before its first
+    image's value and only when one of its instances is checked, and every
+    value is read through _value in enumeration order; a Kronecker rule's
+    misses are filled a block at a time first (_kron_blocks).  Returns the
+    report and the enumeration index of each counterexample."""
     if ctx is None:
         ctx = SweepContext()
+    spec = RULES[rule]
     family = FAMILY_OF[rule]
+    image_of, value = spec.image, _value
+    parts = _memoised()
+    capped = family == "pleth"
+    cap = bounds.max_image_weight
+
+    def checks():
+        i = 0  # the enumeration index of the tuple's first instance
+        for indices, grid in _walk(spec, family, bounds):
+            size = len(grid)
+            j = (start - i) % step
+            if j < size:
+                if step > 1:
+                    grid = grid[j::step]
+                yield i + j, indices, grid, [image_of(indices, *values, parts) for values in grid]
+            i += size
+
+    tuples = checks()
+    if family == "kron":
+        tuples = _kron_blocks(tuples, ctx)
     report = RuleReport(rule)
     found = []
-    checks = (
-        (i, indices, params, _apply(rule, indices, params))
-        for i, (indices, params) in islice(enumerate(_instances(rule, bounds)), start, None, step)
-    )
-    if family == "kron":
-        checks = _kron_blocks(checks, ctx)
-    for i, indices, params, image in checks:
-        if family == "pleth" and image is not None and sum(image[2]) > bounds.max_image_weight:
-            report.skipped += 1
-            continue
-        if not _check_one(rule, family, indices, params, image, report, ctx):
-            found.append(i)
+    checked = vanished = skipped = 0
+    for i, indices, grid, images in tuples:
+        left = None
+        for t, image in enumerate(images):
+            if capped and image is not None and sum(image[2]) > cap:
+                skipped += 1
+                continue
+            if left is None:
+                left = value(family, indices, ctx)
+            if image is None:
+                vanished += 1
+                right = 0
+            else:
+                right = value(family, image, ctx)
+            checked += 1
+            if left != right:
+                found.append(i + t * step)
+                report.counterexamples.append(
+                    _counterexample(rule, spec, indices, grid[t], image, left, right)
+                )
+    report.checked, report.vanished, report.skipped = checked, vanished, skipped
+    report.transformed = checked - vanished
     return report, found
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from rectsym.partitions import (
     LengthExceedsBox,
+    box_complement,
+    box_complements,
     complement,
     complement_partition,
     conjugate,
@@ -133,6 +136,34 @@ def test_complement_rejects_overflow():
 def test_complement_partition_rejects_malformed_input(bad, message):
     with pytest.raises(ValueError, match=message):
         complement_partition(bad, 3, 2)
+
+
+def test_box_complements_match_the_definition():
+    # every partition of weight <= 8 in every box up to 4 x 4, the empty
+    # ones included, alone and in pairs and triples: the tuple of validated
+    # complements when every partition fits, else None
+    boxes = [
+        (p, k, n) for w in range(9) for p in partitions_of(w) for k in range(5) for n in range(5)
+    ]
+
+    def want(*group):
+        if not all(fits_in_box(*box) for box in group):
+            return None
+        return tuple(to_partition(complement(*box)) for box in group)
+
+    for box in boxes:
+        assert box_complements(box) == want(box), box
+        assert box_complement(*box) == (None if want(box) is None else want(box)[0]), box
+    # strides coprime to the 25 boxes per partition, so each sample meets
+    # every box shape, fitting and not
+    pairs = [(a, b) for a in boxes[::7] for b in boxes[::11]]
+    triples = [(a, b, c) for a in boxes[::41] for b in boxes[::43] for c in boxes[::47]]
+    outcomes = set()
+    for group in pairs + triples:
+        got = box_complements(*group)
+        assert got == want(*group), group
+        outcomes.add((len(group), got is None))
+    assert outcomes == {(2, True), (2, False), (3, True), (3, False)}
 
 
 def test_complement_signed_sequence_allows_overflow():
@@ -294,6 +325,22 @@ def test_iter_ssyt_content_filter():
         assert ssyt_weight(tab, 3) == (1, 1, 1)
     none = list(iter_ssyt((2, 1), 2, content=(0, 3)))
     assert none == []
+
+
+def test_iter_ssyt_content_is_exact():
+    # a content restricts the enumeration to exactly the tableaux of that
+    # content: none when it sums to another weight or names an entry past n
+    for w in range(6):
+        for shape in partitions_of(w):
+            for n in range(5):
+                tableaux = list(iter_ssyt(shape, n))
+                for length in range(n + 2):
+                    for content in product(range(4), repeat=length):
+                        width = max(n, length)
+                        padded = content + (0,) * (width - length)
+                        want = [t for t in tableaux if ssyt_weight(t, width) == padded]
+                        got = list(iter_ssyt(shape, n, content=content))
+                        assert got == want, (shape, n, content)
 
 
 def test_ssyt_weight():

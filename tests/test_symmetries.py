@@ -337,8 +337,8 @@ def test_every_image_mutation_is_caught(monkeypatch, rule, mutation):
     real = symmetries.RULES[rule]
     mutate = IMAGE_MUTATIONS[mutation]
 
-    def wrong(indices, **params):
-        image = real.image(indices, **params)
+    def wrong(indices, *args, **params):
+        image = real.image(indices, *args, **params)
         return None if image is None else mutate(indices, image)
 
     monkeypatch.setitem(symmetries.RULES, rule, dataclasses.replace(real, image=wrong))
@@ -504,31 +504,41 @@ def test_verify_parallel_counterexamples_in_serial_order(monkeypatch, rule):
     assert json.dumps(parallel) == json.dumps(serial)
 
 
-def _doctored_sweep(monkeypatch, rule, engine, permute):
-    """verify_rule on SMALL with the rule's image permuted, and the
-    counterexamples the engine finds directly, with no memo in between."""
+def _doctored_sweep(monkeypatch, rule, engine, mutate, jobs=1):
+    """verify_rule on SMALL with the rule's image mutated, as IMAGE_MUTATIONS
+    mutate one, and what a naive loop over the instances finds with the
+    engine called directly, no memo in between: (counterexamples found,
+    counterexamples expected, (checked, skipped) of the sweep, (checked,
+    skipped) of the loop).  The loop skips a plethysm image over the cap as
+    the sweep does."""
     real = symmetries.RULES[rule]
 
-    def wrong(indices, **params):
-        image = real.image(indices, **params)
-        return None if image is None else permute(image)
+    def wrong(indices, *args, **params):
+        image = real.image(indices, *args, **params)
+        return None if image is None else mutate(indices, image)
 
     monkeypatch.setitem(symmetries.RULES, rule, dataclasses.replace(real, image=wrong))
     expected = []
+    checked = skipped = 0
     for indices, params in symmetries._instances(rule, SMALL):
         image = wrong(indices, **params)
+        if FAMILY_OF[rule] == "pleth" and image and sum(image[2]) > SMALL.max_image_weight:
+            skipped += 1
+            continue
+        checked += 1
         right = 0 if image is None else engine(*image)
         if engine(*indices) != right:
             expected.append(([list(p) for p in indices], params))
-    report = verify_rule(rule, SMALL)
-    return [(ce["indices"], ce["params"]) for ce in report.counterexamples], expected
+    report = verify_rule(rule, SMALL, jobs=jobs)
+    found = [(ce["indices"], ce["params"]) for ce in report.counterexamples]
+    return found, expected, (report.checked, report.skipped), (checked, skipped)
 
 
 def test_wrong_lr_image_is_a_counterexample(monkeypatch):
     # c(nu', mu; lam') in place of c(lam', mu; nu'): a memo keyed by anything
     # looser than the ordered triple would hide some of these
-    found, expected = _doctored_sweep(
-        monkeypatch, "lr-translate", lr_coefficient, lambda t: (t[2], t[1], t[0])
+    found, expected, _, _ = _doctored_sweep(
+        monkeypatch, "lr-translate", lr_coefficient, lambda indices, t: (t[2], t[1], t[0])
     )
     assert expected
     assert found == expected
@@ -536,8 +546,8 @@ def test_wrong_lr_image_is_a_counterexample(monkeypatch):
 
 def test_wrong_kf_image_is_a_counterexample(monkeypatch):
     # K(mu', lam') in place of K(lam', mu'), wrong unless lam == mu
-    found, expected = _doctored_sweep(
-        monkeypatch, "kf-translate", kostka_foulkes, lambda t: (t[1], t[0])
+    found, expected, _, _ = _doctored_sweep(
+        monkeypatch, "kf-translate", kostka_foulkes, lambda indices, t: (t[1], t[0])
     )
     assert expected
     assert found == expected
@@ -546,11 +556,35 @@ def test_wrong_kf_image_is_a_counterexample(monkeypatch):
 def test_counterexample_params_keep_the_rules_order(monkeypatch):
     # the sweep nests lr-box's n outermost; a counterexample still lists
     # l, m, n, the order of --box
-    found, expected = _doctored_sweep(
-        monkeypatch, "lr-box", lr_coefficient, lambda t: (t[2], t[1], t[0])
+    found, expected, _, _ = _doctored_sweep(
+        monkeypatch, "lr-box", lr_coefficient, lambda indices, t: (t[2], t[1], t[0])
     )
     assert found and found == expected
     assert {tuple(params) for _, params in found} == {("l", "m", "n")}
+
+
+ENGINES = {
+    "lr": lr_coefficient,
+    "kron": kronecker_coefficient,
+    "pleth": plethysm_coefficient,
+    "kf": kostka_foulkes,
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("rule", RULE_NAMES)
+def test_every_sweep_matches_a_naive_loop(monkeypatch, rule, jobs):
+    # the first index of every image conjugated: the sweep, serial or on
+    # two workers, must report what a loop over the instances finds with
+    # the engine alone, in the same order, and skip what the loop skips
+    found, expected, swept, looped = _doctored_sweep(
+        monkeypatch, rule, ENGINES[FAMILY_OF[rule]], IMAGE_MUTATIONS["conjugated-first"], jobs
+    )
+    assert expected, rule
+    assert found == expected, rule
+    assert swept == looped, rule
+    if rule in ("pleth-box-outer", "pleth-translate-outer"):
+        assert looped[1], rule
 
 
 def test_verify_all_shape():
